@@ -1,25 +1,13 @@
 """Brute-force reference enumeration by depth-first search.
 
 This module deliberately shares nothing with the matrix-power engine beyond
-the graph type: results produced here are used as independent ground truth
+the graph module: results produced here are used as independent ground truth
 in the test suite and behind the CLI's --engine oracle flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
-from .graph import DirectedGraph, VertexPath
-
-
-@dataclass(frozen=True, slots=True)
-class OracleResult:
-    kind: str
-    source: str
-    target: str
-    length: int
-    items: tuple[VertexPath, ...]
+from .graph import DirectedGraph, EnumerationResult, VertexPath
 
 
 def _successors(graph: DirectedGraph) -> dict[str, list[str]]:
@@ -57,7 +45,7 @@ def _simple_paths_from(graph, source, max_len):
 
 def dfs_elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int
-) -> OracleResult:
+) -> EnumerationResult:
     graph.index(source), graph.index(target)
     if source == target:
         raise ValueError("source equals target; use dfs_elementary_circuits")
@@ -67,13 +55,13 @@ def dfs_elementary_paths(
         p for p in _simple_paths_from(graph, source, k)
         if len(p) - 1 == k and p[-1] == target
     ]
-    hits.sort(key=lambda p: tuple(graph.index(v) for v in p))
-    return OracleResult(
+    hits.sort(key=graph.order_key)
+    return EnumerationResult(
         "path", source, target, k, tuple(VertexPath(p) for p in hits)
     )
 
 
-def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> OracleResult:
+def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
     graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
@@ -86,27 +74,28 @@ def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> OracleR
         for p in _simple_paths_from(graph, start, k - 1):
             if len(p) - 1 == k - 1 and (p[-1], start) in arcs:
                 hits.append(p + (start,))
-    hits.sort(key=lambda p: tuple(graph.index(v) for v in p))
-    return OracleResult(
+    hits.sort(key=graph.order_key)
+    return EnumerationResult(
         "circuit", start, start, k, tuple(VertexPath(p) for p in hits)
     )
 
 
 def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
-    """Count all walks of length k from source to target by recursive
-    expansion (memoized on (vertex, remaining steps))."""
+    """Count all walks of length k from source to target one step at a time:
+    after step s, ways[v] is the number of walks of length s from source
+    that end at v."""
     if k < 1:
         raise ValueError("path length must be at least 1")
     graph.index(source), graph.index(target)
     succ = _successors(graph)
-
-    @lru_cache(maxsize=None)
-    def count(v: str, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if v == target else 0
-        return sum(count(u, remaining - 1) for u in succ[v])
-
-    return count(source, k)
+    ways = {source: 1}
+    for _ in range(k):
+        step: dict[str, int] = {}
+        for v, count in ways.items():
+            for u in succ[v]:
+                step[u] = step.get(u, 0) + count
+        ways = step
+    return ways.get(target, 0)
 
 
 def enumerate_all_elementary(
@@ -125,3 +114,18 @@ def enumerate_all_elementary(
             if (p[-1], source) in arcs:
                 out.setdefault((source, source, k + 1), set()).add(p + (source,))
     return out
+
+
+def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[VertexPath]:
+    """Every Hamiltonian path (kind "path", arc-length n-1) or circuit (kind
+    "circuit", arc-length n) in canonical order, from one sweep of
+    enumerate_all_elementary."""
+    if kind == "path" and graph.n < 2:
+        raise ValueError("Hamiltonian paths need at least 2 vertices")
+    circuit = kind == "circuit"
+    k = graph.n if circuit else graph.n - 1
+    found = []
+    for (source, target, length), seqs in enumerate_all_elementary(graph).items():
+        if length == k and (source == target) == circuit:
+            found.extend(seqs)
+    return [VertexPath(s) for s in sorted(found, key=graph.order_key)]

@@ -17,6 +17,7 @@ from .graph import (
     GraphParseError,
     PathError,
     VertexPath,
+    format_cost,
     parse_graph,
     path_cost,
 )
@@ -104,112 +105,117 @@ def _load_graph(path: str) -> DirectedGraph:
         return parse_graph(handle.read())
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _query(command: str, fields, args) -> dict:
+    return {"command": command, **{key: getattr(args, name) for key, name in fields}}
+
+
 def _item_json(graph: DirectedGraph, path: VertexPath) -> dict:
     cost = path_cost(graph, path) if graph.costs is not None else None
     return {"vertices": list(path.vertices), "length": path.length, "cost": cost}
 
 
-def _emit_result(graph, query: dict, items: list[VertexPath], args) -> str:
-    if args.format == "json":
-        payload = {
+def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
+    if fmt == "json":
+        return _json({
             "query": query,
             "items": [_item_json(graph, p) for p in items],
             "count": len(items),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        })
+    if not items:
+        return none_text
     lines = []
     for p in items:
         if graph.costs is not None:
-            lines.append(f"{p.render()} cost={_fmt_cost(path_cost(graph, p))}")
+            lines.append(f"{p.render()} cost={format_cost(path_cost(graph, p))}")
         else:
             lines.append(p.render())
     return "".join(line + "\n" for line in lines)
 
 
-def _fmt_cost(cost: float) -> str:
-    return str(int(cost)) if float(cost).is_integer() else repr(cost)
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _canonical(graph: DirectedGraph, paths) -> list[VertexPath]:
-    return sorted(paths, key=lambda p: tuple(graph.index(v) for v in p.vertices))
-
-
-def _oracle_hamiltonian(graph: DirectedGraph, kind: str) -> list[VertexPath]:
-    if kind == "path" and graph.n < 2:
-        raise ValueError("Hamiltonian paths need at least 2 vertices")
-    everything = bruteforce.enumerate_all_elementary(graph)
-    found = []
-    for (source, target, k), seqs in everything.items():
-        if kind == "path" and source != target and k == graph.n - 1:
-            found.extend(VertexPath(s) for s in seqs)
-        if kind == "circuit" and source == target and k == graph.n:
-            found.extend(VertexPath(s) for s in seqs)
-    return _canonical(graph, found)
-
-
-def _write_dot(path: str, graph: DirectedGraph, items: list[VertexPath]):
+def _write_dot(path: str, graph: DirectedGraph, items):
     highlighted = set()
     for p in items:
         highlighted.update(zip(p.vertices, p.vertices[1:]))
     lines = ["digraph G {"]
     for v in graph.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quote(v)};")
     for idx, (u, v) in enumerate(graph.arcs):
         attrs = []
         if graph.costs is not None:
-            attrs.append(f'label="{_fmt_cost(graph.costs[idx])}"')
+            attrs.append(f"label={_dot_quote(format_cost(graph.costs[idx]))}")
         if (u, v) in highlighted:
             attrs.append('color="red"')
             attrs.append("penwidth=2")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{u}" -> "{v}"{suffix};')
+        lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)}{suffix};")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def _run_paths(args) -> str:
+def _optimal(graph: DirectedGraph, args, powers, candidates) -> list[VertexPath]:
+    best = enumeration.optimal_hamiltonian(
+        graph, args.kind, args.objective, args.start, args.end, powers, candidates
+    )
+    return [best[0]] if best is not None else []
+
+
+_PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
+
+# Commands that answer with a list of paths: (lcdl call, oracle call, query
+# fields as (JSON key, argument name) pairs, text output when nothing is
+# found).  Both calls return the paths in canonical order; the lcdl call gets
+# the latin powers built under --limit.
+_ENUMERATIONS = {
+    "paths": (
+        lambda g, a, powers: enumeration.elementary_paths(g, a.i, a.j, a.k, powers).items,
+        lambda g, a: bruteforce.dfs_elementary_paths(g, a.i, a.j, a.k).items,
+        _PAIR_FIELDS,
+        "",
+    ),
+    "circuits": (
+        lambda g, a, powers: enumeration.elementary_circuits(g, a.i, a.k, powers).items,
+        lambda g, a: bruteforce.dfs_elementary_circuits(g, a.i, a.k).items,
+        (("start", "i"), ("length", "k")),
+        "",
+    ),
+    "hamiltonian": (
+        lambda g, a, powers: (
+            enumeration.hamiltonian_paths(g, powers)
+            if a.kind == "path"
+            else enumeration.hamiltonian_circuits(g, powers)
+        ),
+        lambda g, a: bruteforce.dfs_hamiltonian(g, a.kind),
+        (("kind", "kind"),),
+        "",
+    ),
+    "optimal": (
+        lambda g, a, powers: _optimal(g, a, powers, None),
+        lambda g, a: _optimal(g, a, None, bruteforce.dfs_hamiltonian(g, a.kind)),
+        (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
+        "none\n",
+    ),
+}
+
+
+def _run_enumeration(args) -> str:
+    lcdl, oracle, fields, none_text = _ENUMERATIONS[args.command]
     graph = _load_graph(args.file)
     if args.engine == "oracle":
-        result = bruteforce.dfs_elementary_paths(graph, args.i, args.j, args.k)
+        items = oracle(graph, args)
     else:
-        powers = enumeration.latin_powers(graph, args.limit)
-        result = enumeration.elementary_paths(graph, args.i, args.j, args.k, powers)
-    items = list(result.items)
-    query = {"command": "paths", "source": args.i, "target": args.j, "length": args.k}
+        items = lcdl(graph, args, enumeration.latin_powers(graph, args.limit))
     if args.dot:
         _write_dot(args.dot, graph, items)
-    return _emit_result(graph, query, items, args)
-
-
-def _run_circuits(args) -> str:
-    graph = _load_graph(args.file)
-    if args.engine == "oracle":
-        result = bruteforce.dfs_elementary_circuits(graph, args.i, args.k)
-    else:
-        powers = enumeration.latin_powers(graph, args.limit)
-        result = enumeration.elementary_circuits(graph, args.i, args.k, powers)
-    items = list(result.items)
-    query = {"command": "circuits", "start": args.i, "length": args.k}
-    if args.dot:
-        _write_dot(args.dot, graph, items)
-    return _emit_result(graph, query, items, args)
-
-
-def _run_hamiltonian(args) -> str:
-    graph = _load_graph(args.file)
-    if args.engine == "oracle":
-        items = _oracle_hamiltonian(graph, args.kind)
-    else:
-        powers = enumeration.latin_powers(graph, args.limit)
-        if args.kind == "path":
-            items = enumeration.hamiltonian_paths(graph, powers)
-        else:
-            items = enumeration.hamiltonian_circuits(graph, powers)
-    query = {"command": "hamiltonian", "kind": args.kind}
-    if args.dot:
-        _write_dot(args.dot, graph, items)
-    return _emit_result(graph, query, items, args)
+    return _emit_result(graph, _query(args.command, fields, args), items, args.format, none_text)
 
 
 def _run_count(args) -> str:
@@ -219,47 +225,8 @@ def _run_count(args) -> str:
     else:
         value = enumeration.count_paths(graph, args.i, args.j, args.k)
     if args.format == "json":
-        payload = {
-            "query": {"command": "count", "source": args.i, "target": args.j, "length": args.k},
-            "value": value,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
     return f"{value}\n"
-
-
-def _run_optimal(args) -> str:
-    graph = _load_graph(args.file)
-    candidates = None
-    if args.engine == "oracle":
-        candidates = _oracle_hamiltonian(graph, args.kind)
-    best = enumeration.optimal_hamiltonian(
-        graph,
-        args.kind,
-        objective=args.objective,
-        start=args.start,
-        end=args.end,
-        candidates=candidates,
-    )
-    query = {
-        "command": "optimal",
-        "kind": args.kind,
-        "objective": args.objective,
-        "from": args.start,
-        "to": args.end,
-    }
-    items = [best[0]] if best is not None else []
-    if args.dot:
-        _write_dot(args.dot, graph, items)
-    if args.format == "json":
-        payload = {
-            "query": query,
-            "items": [_item_json(graph, p) for p in items],
-            "count": len(items),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if best is None:
-        return "none\n"
-    return f"{best[0].render()} cost={_fmt_cost(best[1])}\n"
 
 
 def _run_matrix(args) -> str:
@@ -271,8 +238,7 @@ def _run_matrix(args) -> str:
         [entry.render() for entry in row] for row in powers.power(args.k).rows
     ]
     if args.format == "json":
-        payload = {"query": {"command": "matrix", "k": args.k}, "rows": rendered}
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"query": {"command": "matrix", "k": args.k}, "rows": rendered})
     widths = [max(len(r[j]) for r in rendered) for j in range(graph.n)]
     lines = [
         "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
@@ -301,18 +267,15 @@ def _run_words(args) -> str:
         payload = {"query": {"command": "words", "alphabet": list(symbols)}, "sigma": sigma}
         if rendered is not None:
             payload["words"] = rendered
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     if args.count_only:
         return f"{sigma}\n"
     return f"sigma: {sigma}\n" + "".join(w + "\n" for w in rendered)
 
 
 _RUNNERS = {
-    "paths": _run_paths,
-    "circuits": _run_circuits,
-    "hamiltonian": _run_hamiltonian,
+    **dict.fromkeys(_ENUMERATIONS, _run_enumeration),
     "count": _run_count,
-    "optimal": _run_optimal,
     "matrix": _run_matrix,
     "words": _run_words,
 }

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, VertexPath, adjacency_matrix, latin_matrix, path_cost
+from .graph import (
+    DirectedGraph,
+    EnumerationResult,
+    VertexPath,
+    adjacency_matrix,
+    latin_matrix,
+    path_cost,
+)
 from .semiring import SemiringMatrix, mat_mul, mat_power_left
 from .words import DistinguishedWord
 
@@ -34,22 +41,12 @@ class DiagonalInvariantError(AssertionError):
 
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
-    graph: DirectedGraph
     powers: tuple[SemiringMatrix, ...]  # powers[k-1] is the k-th left power
 
     def power(self, k: int) -> SemiringMatrix:
         if not 1 <= k <= len(self.powers):
             raise ValueError(f"power {k} out of range 1..{len(self.powers)}")
         return self.powers[k - 1]
-
-
-@dataclass(frozen=True, slots=True)
-class EnumerationResult:
-    kind: str  # "path" or "circuit"
-    source: str
-    target: str
-    length: int
-    items: tuple[VertexPath, ...]
 
 
 def _word_count(m: SemiringMatrix) -> int:
@@ -76,7 +73,7 @@ def latin_powers(
                 raise DiagonalInvariantError(
                     f"power {graph.n} has a nonzero entry at ({i + 1}, {j + 1})"
                 )
-    return LatinPowerSequence(graph, tuple(powers))
+    return LatinPowerSequence(tuple(powers))
 
 
 def decode_word(graph: DirectedGraph, word: DistinguishedWord) -> VertexPath:
@@ -90,10 +87,9 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
     )
 
 
-def _decode_entry(graph: DirectedGraph, entry) -> tuple[VertexPath, ...]:
-    return tuple(
-        decode_word(graph, w) for w in entry.sorted_words()
-    )
+def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
+    """Decode words in canonical order: lexicographic by index sequence."""
+    return [decode_word(graph, w) for w in sorted(words, key=lambda w: w.indices)]
 
 
 def elementary_paths(
@@ -111,7 +107,7 @@ def elementary_paths(
     if powers is None:
         powers = latin_powers(graph)
     entry = powers.power(k).rows[i][j]
-    return EnumerationResult("path", source, target, k, _decode_entry(graph, entry))
+    return EnumerationResult("path", source, target, k, tuple(_decode(graph, entry.words)))
 
 
 def elementary_circuits(
@@ -126,7 +122,7 @@ def elementary_circuits(
     if powers is None:
         powers = latin_powers(graph)
     entry = powers.power(k).rows[i][i]
-    return EnumerationResult("circuit", start, start, k, _decode_entry(graph, entry))
+    return EnumerationResult("circuit", start, start, k, tuple(_decode(graph, entry.words)))
 
 
 def hamiltonian_paths(
@@ -142,9 +138,8 @@ def hamiltonian_paths(
     for i in range(graph.n):
         for j in range(graph.n):
             if i != j:
-                found.extend(top.rows[i][j].sorted_words())
-    found.sort(key=lambda w: w.indices)
-    return [decode_word(graph, w) for w in found]
+                found.extend(top.rows[i][j].words)
+    return _decode(graph, found)
 
 
 def hamiltonian_circuits(
@@ -156,9 +151,8 @@ def hamiltonian_circuits(
     top = powers.power(graph.n)
     found = []
     for i in range(graph.n):
-        found.extend(top.rows[i][i].sorted_words())
-    found.sort(key=lambda w: w.indices)
-    return [decode_word(graph, w) for w in found]
+        found.extend(top.rows[i][i].words)
+    return _decode(graph, found)
 
 
 def max_length_elementary(

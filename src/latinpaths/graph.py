@@ -58,8 +58,9 @@ class DirectedGraph:
         except ValueError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
-    def has_arc(self, u: str, v: str) -> bool:
-        return (u, v) in set(self.arcs)
+    def order_key(self, vertices: tuple[str, ...]) -> tuple[int, ...]:
+        """Sort key of canonical order: lexicographic by declaration index."""
+        return tuple(self.index(v) for v in vertices)
 
     def arc_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.arcs)
@@ -98,6 +99,20 @@ class VertexPath:
         return "-".join(self.vertices)
 
 
+@dataclass(frozen=True, slots=True)
+class EnumerationResult:
+    kind: str  # "path" or "circuit"
+    source: str
+    target: str
+    length: int
+    items: tuple[VertexPath, ...]  # canonical order
+
+
+def format_cost(cost: float) -> str:
+    """Cost text: integral values without a fractional part."""
+    return str(int(cost)) if float(cost).is_integer() else repr(cost)
+
+
 def validate_path(graph: DirectedGraph, path: VertexPath):
     arcs = graph.arc_set()
     for u, v in zip(path.vertices, path.vertices[1:]):
@@ -108,7 +123,7 @@ def validate_path(graph: DirectedGraph, path: VertexPath):
 def parse_graph(text: str) -> DirectedGraph:
     vertices: tuple[str, ...] | None = None
     arcs: list[tuple[str, str]] = []
-    costs: list[float] = []
+    costs: list[float | None] = []
     arc_lines: dict[tuple[str, str], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,19 +155,19 @@ def parse_graph(text: str) -> DirectedGraph:
         if len(parts) == 3:
             try:
                 # Decimal validates the syntax; the value is kept as float.
-                costs.append(float(Decimal(parts[2])))
-            except InvalidOperation:
+                cost = float(Decimal(parts[2]))
+            except (InvalidOperation, ValueError):  # ValueError: signaling NaN
                 raise GraphParseError(line_no, f"invalid cost {parts[2]!r}") from None
+            if not math.isfinite(cost):
+                raise GraphParseError(line_no, f"cost {parts[2]!r} is not finite")
+            costs.append(cost)
         else:
-            costs.append(math.nan)
+            costs.append(None)
     if vertices is None:
         raise GraphParseError(1, "missing 'vertices:' declaration")
-    with_cost = [c for c in costs if not math.isnan(c)]
+    with_cost = [c for c in costs if c is not None]
     if with_cost and len(with_cost) != len(arcs):
-        missing = next(
-            ln for (uv, ln) in arc_lines.items()
-            if math.isnan(costs[arcs.index(uv)])
-        )
+        missing = next(ln for ln, c in zip(arc_lines.values(), costs) if c is None)
         raise GraphParseError(missing, "cost given on some arcs but not this one")
     return DirectedGraph(
         vertices, tuple(arcs), tuple(with_cost) if with_cost else None
@@ -162,16 +177,11 @@ def parse_graph(text: str) -> DirectedGraph:
 def serialize_graph(graph: DirectedGraph) -> str:
     """Emit the edge-list format; arcs sorted by (source index, target index)."""
     lines = ["vertices: " + " ".join(graph.vertices)]
-    order = sorted(
-        range(len(graph.arcs)),
-        key=lambda a: (graph.index(graph.arcs[a][0]), graph.index(graph.arcs[a][1])),
-    )
+    order = sorted(range(len(graph.arcs)), key=lambda a: graph.order_key(graph.arcs[a]))
     for a in order:
         u, v = graph.arcs[a]
         if graph.costs is not None:
-            cost = graph.costs[a]
-            text = repr(cost) if not float(cost).is_integer() else str(int(cost))
-            lines.append(f"{u} {v} {text}")
+            lines.append(f"{u} {v} {format_cost(graph.costs[a])}")
         else:
             lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
@@ -186,16 +196,12 @@ def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
     return SemiringMatrix(NATURALS, rows)
 
 
-def graph_alphabet(graph: DirectedGraph) -> Alphabet:
-    return Alphabet(graph.vertices)
-
-
 def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
     """Entry (i, j) is the singleton language {v_i v_j} when the arc exists;
     a self-loop gives the two-symbol cyclic word v_i v_i."""
     from .languages import DistinguishedLanguage
 
-    alphabet = graph_alphabet(graph)
+    alphabet = Alphabet(graph.vertices)
     sr = language_semiring(alphabet)
     arcs = graph.arc_set()
     rows = []

@@ -30,21 +30,13 @@ class Semiring:
     mul: Callable[[Any, Any], Any]
     zero: Any
     one: Any
-    is_idempotent: bool = False
-    is_commutative: bool = False
 
 
-NATURALS = Semiring(operator.add, operator.mul, 0, 1, is_commutative=True)
+NATURALS = Semiring(operator.add, operator.mul, 0, 1)
 
 
 def language_semiring(alphabet: Alphabet) -> Semiring:
-    return Semiring(
-        lang_union,
-        lang_compose,
-        lang_zero(alphabet),
-        lang_one(alphabet),
-        is_idempotent=True,
-    )
+    return Semiring(lang_union, lang_compose, lang_zero(alphabet), lang_one(alphabet))
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,15 +54,6 @@ class SemiringMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Any:
-        return self.rows[i][j]
-
-    def __add__(self, other: "SemiringMatrix") -> "SemiringMatrix":
-        return mat_add(self, other)
-
-    def __matmul__(self, other: "SemiringMatrix") -> "SemiringMatrix":
-        return mat_mul(self, other)
 
 
 def matrix(semiring: Semiring, rows) -> SemiringMatrix:

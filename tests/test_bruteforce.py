@@ -4,8 +4,10 @@ from latinpaths.bruteforce import (
     dfs_count_all_paths,
     dfs_elementary_circuits,
     dfs_elementary_paths,
+    dfs_hamiltonian,
     enumerate_all_elementary,
 )
+from latinpaths.enumeration import count_paths, hamiltonian_circuits, hamiltonian_paths
 from latinpaths.graph import DirectedGraph, validate_path
 from latinpaths.semiring import mat_power_left
 from latinpaths.graph import adjacency_matrix
@@ -81,6 +83,26 @@ class TestCountAllPaths:
             for i, u in enumerate(g.vertices):
                 for j, v in enumerate(g.vertices):
                     assert dfs_count_all_paths(g, u, v, k) == power.rows[i][j]
+
+    def test_long_walks(self, triangle):
+        # far beyond the interpreter's recursion limit
+        for target in ("1", "2"):
+            assert dfs_count_all_paths(triangle, "1", target, 2000) == count_paths(
+                triangle, "1", target, 2000
+            )
+
+
+class TestHamiltonian:
+    def test_matches_latin_powers(self, four_vertex_graph, five_vertex_graph, triangle):
+        for g in (four_vertex_graph, five_vertex_graph, triangle):
+            assert dfs_hamiltonian(g, "path") == hamiltonian_paths(g)
+            assert dfs_hamiltonian(g, "circuit") == hamiltonian_circuits(g)
+
+    def test_single_vertex(self):
+        g = DirectedGraph(("a",), (("a", "a"),))
+        assert [p.render() for p in dfs_hamiltonian(g, "circuit")] == ["a-a"]
+        with pytest.raises(ValueError):
+            dfs_hamiltonian(g, "path")
 
 
 class TestBulkEnumeration:

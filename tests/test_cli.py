@@ -198,6 +198,19 @@ class TestErrorsAndGuards:
         assert code == 3
         assert "limit" in err
 
+    def test_resource_guard_optimal(self, five_file):
+        code, _, err = run_cli("optimal", five_file, "--kind", "path", "--limit", "3")
+        assert code == 3
+        assert "limit" in err
+
+    @pytest.mark.parametrize("cost", ["NaN", "sNaN", "Infinity", "1e400"])
+    def test_non_finite_cost(self, tmp_path, cost):
+        path = tmp_path / "costs.txt"
+        path.write_text(f"vertices: a b\na b {cost}\nb a {cost}\n")
+        code, _, err = run_cli("paths", str(path), "-i", "a", "-j", "b", "-k", "1")
+        assert code == 2
+        assert "line 2:" in err
+
 
 class TestDot:
     def test_highlights_result_arcs(self, five_file, tmp_path):
@@ -212,6 +225,19 @@ class TestDot:
         assert text.startswith("digraph")
         assert '"4" -> "5" [label="4", color="red", penwidth=2];' in text
         assert '"1" -> "2" [label="4"];' in text
+
+    def test_escapes_quotes_and_backslashes(self, tmp_path):
+        graph = tmp_path / "names.txt"
+        graph.write_text('vertices: a"x b\\y\na"x b\\y 1.5\n')
+        dot = tmp_path / "out.gv"
+        code, _, _ = run_cli(
+            "paths", str(graph), "-i", 'a"x', "-j", "b\\y", "-k", "1", "--dot", str(dot)
+        )
+        assert code == 0
+        lines = dot.read_text().splitlines()
+        assert '  "a\\"x";' in lines
+        assert '  "b\\\\y";' in lines
+        assert '  "a\\"x" -> "b\\\\y" [label="1.5", color="red", penwidth=2];' in lines
 
 
 class TestJsonContract:
@@ -231,6 +257,10 @@ class TestJsonContract:
             ("hamiltonian", five_file, "--kind", "circuit"),
             ("hamiltonian", five_file, "--kind", "path"),
             ("count", four_file, "-i", "v1", "-j", "v4", "-k", "3"),
+            ("optimal", five_file, "--kind", "path", "--from", "4", "--to", "1"),
+            ("optimal", five_file, "--kind", "path", "--objective", "max"),
+            ("optimal", five_file, "--kind", "circuit"),
+            ("optimal", five_file, "--kind", "circuit", "--from", "3", "--objective", "max"),
         ]
         for query in queries:
             _, lcdl_out, _ = run_cli(*query, "--format", "json", "--engine", "lcdl")
