@@ -8,6 +8,7 @@ parse error, 3 resource-guard abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -22,6 +23,7 @@ from .graph import (
     path_cost,
 )
 from .words import (
+    EMPTY_RENDERING,
     Alphabet,
     AlphabetError,
     EnumerationCapError,
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=enumeration.DEFAULT_WORD_LIMIT,
-        help="stored-word guard for latin powers",
+        help="stored-word guard for latin powers (lcdl engine only)",
     )
     common.add_argument("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")
 
@@ -218,25 +220,55 @@ def _run_enumeration(args) -> str:
     return _emit_result(graph, _query(args.command, fields, args), items, args.format, none_text)
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift the interpreter's cap on the digits of an int converted to
+    text (Python 3.11+; 4,300 digits by default) for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _run_count(args) -> str:
     graph = _load_graph(args.file)
     if args.engine == "oracle":
         value = bruteforce.dfs_count_all_paths(graph, args.i, args.j, args.k)
     else:
         value = enumeration.count_paths(graph, args.i, args.j, args.k)
-    if args.format == "json":
-        return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
-    return f"{value}\n"
+    with _any_int_length():
+        if args.format == "json":
+            return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
+        return f"{value}\n"
+
+
+def _render_oracle_entry(graph: DirectedGraph, sequences) -> str:
+    if not sequences:
+        return EMPTY_RENDERING
+    ordered = sorted(sequences, key=graph.order_key)
+    return "{" + ", ".join("-".join(s) for s in ordered) + "}"
 
 
 def _run_matrix(args) -> str:
     graph = _load_graph(args.file)
     if not 1 <= args.k <= graph.n:
         raise ValueError(f"power {args.k} out of range 1..{graph.n}")
-    powers = enumeration.latin_powers(graph, args.limit)
-    rendered = [
-        [entry.render() for entry in row] for row in powers.power(args.k).rows
-    ]
+    if args.engine == "oracle":
+        found = bruteforce.enumerate_all_elementary(graph)
+        rendered = [
+            [_render_oracle_entry(graph, found.get((u, v, args.k))) for v in graph.vertices]
+            for u in graph.vertices
+        ]
+    else:
+        powers = enumeration.latin_powers(graph, args.limit)
+        rendered = [
+            [entry.render() for entry in row] for row in powers.power(args.k).rows
+        ]
     if args.format == "json":
         return _json({"query": {"command": "matrix", "k": args.k}, "rows": rendered})
     widths = [max(len(r[j]) for r in rendered) for j in range(graph.n)]

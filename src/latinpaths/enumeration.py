@@ -4,6 +4,17 @@ The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
 elementary circuits).  All n powers are computed once and cached; queries
 decode words straight off the cached entries.
+
+`latin_powers` is a kernel specialised to the left recurrence
+L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
+Every entry of L is the single word v_i v_m, so entry (i, j) of the product
+prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
+(i, m); when j = i the prepended word closes a circuit.  Words are held as
+plain (mask, indices) pairs, with no word or language objects per
+intermediate.  The generic product over the semiring of distinguished
+languages stays as the executable reference: `reference_powers` computes
+it, and `LatinPowerSequence.power` rebuilds a kernel power in that
+representation, on demand, for comparison and for the `matrix` command.
 """
 
 from __future__ import annotations
@@ -18,8 +29,9 @@ from .graph import (
     latin_matrix,
     path_cost,
 )
-from .semiring import SemiringMatrix, mat_mul, mat_power_left
-from .words import DistinguishedWord
+from .languages import DistinguishedLanguage
+from .semiring import SemiringMatrix, language_semiring, mat_mul, mat_power_left
+from .words import Alphabet, DistinguishedWord, WordKind
 
 DEFAULT_WORD_LIMIT = 1_000_000
 
@@ -39,18 +51,77 @@ class DiagonalInvariantError(AssertionError):
     a bug in the composition engine, not bad input."""
 
 
+# One word of a latin power: the bitset of its vertex indices and the
+# indices themselves.  Diagonal entries hold circuits, whose first index is
+# repeated at the end.
+Word = tuple[int, tuple[int, ...]]
+
+
+# Plain slotted classes, not dataclasses: creating a dataclass adds about
+# 0.45 ms to every import of the package.
+class PowerEntry:
+    """Entry (i, j) of a latin power."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.words = words
+
+
+class WordMatrix:
+    """One latin power as computed by the kernel."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[PowerEntry, ...], ...]):
+        self.rows = rows
+
+
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
-    powers: tuple[SemiringMatrix, ...]  # powers[k-1] is the k-th left power
+    vertices: tuple[str, ...]
+    powers: tuple[WordMatrix, ...]  # powers[k-1] is the k-th left power
+
+    def words(self, k: int, i: int, j: int) -> tuple[Word, ...]:
+        """The words of entry (i, j) of the k-th power."""
+        return self.powers[k - 1].rows[i][j].words
 
     def power(self, k: int) -> SemiringMatrix:
+        """The k-th power as a matrix of distinguished languages, equal to
+        `mat_power_left(latin_matrix(graph), k)`.  Built on each call."""
         if not 1 <= k <= len(self.powers):
             raise ValueError(f"power {k} out of range 1..{len(self.powers)}")
-        return self.powers[k - 1]
+        alphabet = Alphabet(self.vertices)
+        kinds = (WordKind.SIMPLE, WordKind.SIMPLE_CYCLIC)
+        rows = tuple(
+            tuple(
+                DistinguishedLanguage(
+                    alphabet,
+                    frozenset(
+                        DistinguishedWord(indices, kinds[i == j], mask)
+                        for mask, indices in entry.words
+                    ),
+                )
+                for j, entry in enumerate(row)
+            )
+            for i, row in enumerate(self.powers[k - 1].rows)
+        )
+        return SemiringMatrix(language_semiring(alphabet), rows)
 
 
-def _word_count(m: SemiringMatrix) -> int:
-    return sum(len(entry.words) for row in m.rows for entry in row)
+def _successors(graph: DirectedGraph) -> list[list[int]]:
+    """Successor indices of each vertex, ascending, self-loops included."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    succ: list[list[int]] = [[] for _ in graph.vertices]
+    for u, v in graph.arcs:
+        succ[index[u]].append(index[v])
+    for targets in succ:
+        targets.sort()
+    return succ
+
+
+def _word_matrix(rows: list[list[list[Word]]]) -> WordMatrix:
+    return WordMatrix(tuple(tuple(PowerEntry(tuple(words)) for words in row) for row in rows))
 
 
 def latin_powers(
@@ -58,22 +129,55 @@ def latin_powers(
 ) -> LatinPowerSequence:
     """All n left powers of the latin matrix, with the explosion guard and
     the structural check that the n-th power is diagonal."""
-    base = latin_matrix(graph)
-    powers = [base]
-    for k in range(2, graph.n + 1):
-        nxt = mat_mul(base, powers[-1])
-        count = _word_count(nxt)
+    n = graph.n
+    succ = _successors(graph)
+    prev: list[list[list[Word]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for m in succ[i]:
+            prev[i][m].append(((1 << i) | (1 << m), (i, m)))
+    powers = [_word_matrix(prev)]
+    # A self-loop's word is cyclic and absorbs every product it enters.
+    steps = [[m for m in succ[i] if m != i] for i in range(n)]
+    for k in range(2, n + 1):
+        cur = []
+        for i in range(n):
+            row: list[list[Word]] = [[] for _ in range(n)]
+            bit, head = 1 << i, (i,)
+            for m in steps[i]:
+                for j, words in enumerate(prev[m]):
+                    # Entry (m, m) holds circuits only, which absorb.
+                    if not words or j == m:
+                        continue
+                    if j == i:  # every word ends at v_i: close the circuit
+                        row[j] += [(mask, head + w) for mask, w in words]
+                    else:
+                        row[j] += [
+                            (mask | bit, head + w) for mask, w in words if not mask & bit
+                        ]
+            cur.append(row)
+        count = sum(len(words) for row in cur for words in row)
         if count > word_limit:
             raise WordLimitError(k, count, word_limit)
-        powers.append(nxt)
-    top = powers[-1]
-    for i in range(graph.n):
-        for j in range(graph.n):
-            if i != j and not top.rows[i][j].is_zero:
+        powers.append(_word_matrix(cur))
+        prev = cur
+    for i in range(n):
+        for j in range(n):
+            if i != j and prev[i][j]:
                 raise DiagonalInvariantError(
-                    f"power {graph.n} has a nonzero entry at ({i + 1}, {j + 1})"
+                    f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
                 )
-    return LatinPowerSequence(tuple(powers))
+    return LatinPowerSequence(graph.vertices, tuple(powers))
+
+
+def reference_powers(graph: DirectedGraph) -> list[SemiringMatrix]:
+    """All n left powers by the generic product over the semiring of
+    distinguished languages: the reference `latin_powers` is checked
+    against."""
+    base = latin_matrix(graph)
+    powers = [base]
+    for _ in range(graph.n - 1):
+        powers.append(mat_mul(base, powers[-1]))
+    return powers
 
 
 def decode_word(graph: DirectedGraph, word: DistinguishedWord) -> VertexPath:
@@ -88,8 +192,13 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 
 
 def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
-    """Decode words in canonical order: lexicographic by index sequence."""
-    return [decode_word(graph, w) for w in sorted(words, key=lambda w: w.indices)]
+    """Decode kernel words in canonical order: lexicographic by index
+    sequence."""
+    names = graph.vertices
+    return [
+        VertexPath(tuple(names[i] for i in indices))
+        for indices in sorted(indices for _, indices in words)
+    ]
 
 
 def elementary_paths(
@@ -106,8 +215,8 @@ def elementary_paths(
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
     if powers is None:
         powers = latin_powers(graph)
-    entry = powers.power(k).rows[i][j]
-    return EnumerationResult("path", source, target, k, tuple(_decode(graph, entry.words)))
+    words = powers.words(k, i, j)
+    return EnumerationResult("path", source, target, k, tuple(_decode(graph, words)))
 
 
 def elementary_circuits(
@@ -121,8 +230,8 @@ def elementary_circuits(
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
     if powers is None:
         powers = latin_powers(graph)
-    entry = powers.power(k).rows[i][i]
-    return EnumerationResult("circuit", start, start, k, tuple(_decode(graph, entry.words)))
+    words = powers.words(k, i, i)
+    return EnumerationResult("circuit", start, start, k, tuple(_decode(graph, words)))
 
 
 def hamiltonian_paths(
@@ -133,12 +242,12 @@ def hamiltonian_paths(
         raise ValueError("Hamiltonian paths need at least 2 vertices")
     if powers is None:
         powers = latin_powers(graph)
-    top = powers.power(graph.n - 1)
+    k = graph.n - 1
     found = []
     for i in range(graph.n):
         for j in range(graph.n):
             if i != j:
-                found.extend(top.rows[i][j].words)
+                found.extend(powers.words(k, i, j))
     return _decode(graph, found)
 
 
@@ -148,10 +257,9 @@ def hamiltonian_circuits(
     """Every elementary circuit of arc-length n, anchored per start vertex."""
     if powers is None:
         powers = latin_powers(graph)
-    top = powers.power(graph.n)
     found = []
     for i in range(graph.n):
-        found.extend(top.rows[i][i].words)
+        found.extend(powers.words(graph.n, i, i))
     return _decode(graph, found)
 
 
@@ -178,8 +286,22 @@ def max_length_elementary(
 
 
 def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
-    """Number of all (not necessarily elementary) paths of length k, via
-    exact integer powers of the adjacency matrix."""
+    """Number of all (not necessarily elementary) paths of length k, in
+    exact integers: column j of the left recurrence A^[k] = A A^[k-1] over
+    successor lists, x_1 = A[:, j] and x_k = A x_{k-1}, in O(k m)."""
+    if k < 1:
+        raise ValueError("path length must be at least 1")
+    i, j = graph.index(source), graph.index(target)
+    succ = _successors(graph)
+    column = [int(j in targets) for targets in succ]
+    for _ in range(k - 1):
+        column = [sum(column[m] for m in targets) for targets in succ]
+    return column[i]
+
+
+def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int) -> int:
+    """`count_paths` by generic left powers of the adjacency matrix over
+    the naturals: the reference it is checked against."""
     if k < 1:
         raise ValueError("path length must be at least 1")
     i, j = graph.index(source), graph.index(target)

@@ -8,7 +8,7 @@ non-comment line is "vertices: v1 v2 ... vn"; every following line is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import reduce
 
@@ -33,20 +33,23 @@ class DirectedGraph:
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
     costs: tuple[float, ...] | None = None  # parallel to arcs
+    # arc -> its position in arcs (and costs), built once per graph
+    _arc_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
         known = set(self.vertices)
-        seen = set()
-        for u, v in self.arcs:
+        arc_index = {}
+        for a, (u, v) in enumerate(self.arcs):
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
-            if (u, v) in seen:
+            if (u, v) in arc_index:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
+            arc_index[u, v] = a
         if self.costs is not None and len(self.costs) != len(self.arcs):
             raise ValueError("every arc needs exactly one cost")
+        object.__setattr__(self, "_arc_index", arc_index)
 
     @property
     def n(self) -> int:
@@ -68,7 +71,10 @@ class DirectedGraph:
     def cost_of(self, u: str, v: str) -> float:
         if self.costs is None:
             raise ValueError("graph has no arc costs")
-        return self.costs[self.arcs.index((u, v))]
+        try:
+            return self.costs[self._arc_index[u, v]]
+        except KeyError:
+            raise PathError(f"({u}, {v}) is not an arc of the graph") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,9 +120,8 @@ def format_cost(cost: float) -> str:
 
 
 def validate_path(graph: DirectedGraph, path: VertexPath):
-    arcs = graph.arc_set()
     for u, v in zip(path.vertices, path.vertices[1:]):
-        if (u, v) not in arcs:
+        if (u, v) not in graph._arc_index:
             raise PathError(f"({u}, {v}) is not an arc of the graph")
 
 
@@ -223,7 +228,6 @@ def path_cost(graph: DirectedGraph, path: VertexPath, aggregation: str = "sum") 
         raise ValueError("graph has no arc costs")
     if aggregation not in ("sum", "product"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    validate_path(graph, path)
     arc_costs = [
         graph.cost_of(u, v) for u, v in zip(path.vertices, path.vertices[1:])
     ]

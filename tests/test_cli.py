@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -102,6 +103,30 @@ class TestCount:
         payload = run_json("count", four_file, "-i", "v1", "-j", "v4", "-k", "3")
         assert payload["value"] == 5
 
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    def test_counts_beyond_the_int_text_cap(self, tmp_path, engine):
+        # more than the 4,300 digits Python 3.11 converts to text by default
+        path = tmp_path / "k5.txt"
+        names = [f"v{i}" for i in range(5)]
+        arcs = "".join(f"{u} {v}\n" for u in names for v in names if u != v)
+        path.write_text(f"vertices: {' '.join(names)}\n{arcs}")
+        query = ("count", str(path), "-i", "v0", "-j", "v1", "-k", "8000", "--engine", engine)
+        expected = (4**8000 - (-1) ** 8000) // 5
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(*query)
+        assert code == 0, err
+        json_code, json_out, err = run_cli(*query, "--format", "json")
+        assert json_code == 0, err
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored by the CLI
+            sys.set_int_max_str_digits(0)  # to parse the output here
+        try:
+            assert int(out) == expected
+            assert json.loads(json_out)["value"] == expected
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
 
 class TestOptimal:
     def test_min_path(self, five_file):
@@ -148,6 +173,15 @@ class TestMatrix:
     def test_out_of_range(self, four_file):
         code, _, _ = run_cli("matrix", four_file, "-k", "5")
         assert code == 2
+        code, _, _ = run_cli("matrix", four_file, "-k", "5", "--engine", "oracle")
+        assert code == 2
+
+    def test_oracle_ignores_word_limit(self, five_file):
+        code, _, _ = run_cli("matrix", five_file, "-k", "2", "--limit", "1")
+        assert code == 3
+        code, out, err = run_cli("matrix", five_file, "-k", "2", "--limit", "1", "--engine", "oracle")
+        assert code == 0, err
+        assert out == run_cli("matrix", five_file, "-k", "2")[1]
 
 
 class TestWords:
@@ -261,8 +295,13 @@ class TestJsonContract:
             ("optimal", five_file, "--kind", "path", "--objective", "max"),
             ("optimal", five_file, "--kind", "circuit"),
             ("optimal", five_file, "--kind", "circuit", "--from", "3", "--objective", "max"),
+            ("matrix", four_file, "-k", "1"),
+            ("matrix", four_file, "-k", "2"),
+            ("matrix", five_file, "-k", "3"),
+            ("matrix", five_file, "-k", "5"),
         ]
         for query in queries:
-            _, lcdl_out, _ = run_cli(*query, "--format", "json", "--engine", "lcdl")
-            _, oracle_out, _ = run_cli(*query, "--format", "json", "--engine", "oracle")
-            assert lcdl_out == oracle_out, query
+            for fmt in ("json", "text"):
+                _, lcdl_out, _ = run_cli(*query, "--format", fmt, "--engine", "lcdl")
+                _, oracle_out, _ = run_cli(*query, "--format", fmt, "--engine", "oracle")
+                assert lcdl_out == oracle_out, (query, fmt)

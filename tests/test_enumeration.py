@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinpaths.enumeration import (
     WordLimitError,
     count_paths,
+    count_paths_reference,
     decode_word,
     elementary_circuits,
     elementary_paths,
@@ -12,8 +15,9 @@ from latinpaths.enumeration import (
     latin_powers,
     max_length_elementary,
     optimal_hamiltonian,
+    reference_powers,
 )
-from latinpaths.graph import DirectedGraph, VertexPath, path_cost
+from latinpaths.graph import DirectedGraph, VertexPath, adjacency_matrix, path_cost
 from latinpaths.semiring import mat_mul
 
 
@@ -194,6 +198,30 @@ class TestCountPaths:
     def test_zero_length_rejected(self, four_vertex_graph):
         with pytest.raises(ValueError):
             count_paths(four_vertex_graph, "v1", "v4", 0)
+        with pytest.raises(ValueError):
+            count_paths_reference(four_vertex_graph, "v1", "v4", 0)
+
+    def test_matches_adjacency_powers_on_corpus(self, corpus):
+        # one (source, target) pair per length, cycling through all pairs
+        for g in corpus:
+            pairs = [(i, j) for i in range(g.n) for j in range(g.n)]
+            adjacency = adjacency_matrix(g)
+            power = adjacency
+            for k in range(1, 61):
+                if k > 1:
+                    power = mat_mul(adjacency, power)
+                i, j = pairs[k % len(pairs)]
+                u, v = g.vertices[i], g.vertices[j]
+                assert count_paths(g, u, v, k) == power.rows[i][j], (g, u, v, k)
+
+    def test_closed_form_on_k5(self):
+        # walks of length k between two distinct vertices of K5
+        g = complete_digraph(5)
+        for k in (1, 2, 3, 7, 30):
+            expected = (4**k - (-1) ** k) // 5
+            assert count_paths(g, "v1", "v2", k) == expected
+            assert count_paths_reference(g, "v1", "v2", k) == expected
+        assert count_paths(g, "v1", "v2", 8000) == (4**8000 - 1) // 5
 
 
 class TestOptimalHamiltonian:
@@ -269,11 +297,65 @@ class TestPowerCache:
             powers5.power(6)
 
 
+def complete_digraph(n: int) -> DirectedGraph:
+    names = tuple(f"v{i}" for i in range(1, n + 1))
+    return DirectedGraph(names, tuple((u, v) for u in names for v in names if u != v))
+
+
+def stored_words(matrix) -> list[int]:
+    return [len(entry.words) for row in matrix.rows for entry in row]
+
+
+def assert_kernel_matches_reference(g):
+    powers = latin_powers(g)
+    reference = reference_powers(g)
+    assert len(powers.powers) == len(reference) == g.n
+    for k, expected in enumerate(reference, start=1):
+        assert powers.power(k) == expected, k
+        assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
+
+
+class TestKernelAgainstReference:
+    def test_corpus(self, corpus):
+        assert any((u, u) in g.arcs for g in corpus for u in g.vertices)
+        for g in corpus:
+            assert_kernel_matches_reference(g)
+
+    @pytest.mark.parametrize("arcs", [(), (("a", "a"),)])
+    def test_single_vertex(self, arcs):
+        assert_kernel_matches_reference(DirectedGraph(("a",), arcs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.frozensets(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                ),
+            )
+        )
+    )
+    def test_random_graphs(self, shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        assert_kernel_matches_reference(
+            DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+        )
+
+
 class TestGuards:
     def test_word_limit(self, five_vertex_graph):
         with pytest.raises(WordLimitError) as exc:
             latin_powers(five_vertex_graph, word_limit=3)
         assert exc.value.k == 2
+
+    def test_word_limit_counts_the_whole_power(self):
+        # K8's fourth power: 8*7*6*5*4 = 6,720 paths plus 8*7*6*5 = 1,680 circuits
+        with pytest.raises(WordLimitError) as exc:
+            latin_powers(complete_digraph(8), word_limit=5000)
+        assert exc.value.k == 4
+        assert str(exc.value) == "latin power 4 holds 8400 words, over the limit of 5000"
 
     def test_single_vertex_no_arcs(self):
         g = DirectedGraph(("a",), ())

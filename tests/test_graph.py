@@ -162,6 +162,10 @@ class TestPathCost:
     def test_invalid_path(self, five_vertex_graph):
         with pytest.raises(PathError):
             path_cost(five_vertex_graph, VertexPath(("2", "3")))
+        with pytest.raises(PathError):
+            path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "1")))
+        with pytest.raises(PathError):
+            five_vertex_graph.cost_of("2", "3")
 
     def test_unknown_aggregation(self, five_vertex_graph):
         with pytest.raises(ValueError):
