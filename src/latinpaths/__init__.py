@@ -1,110 +1,5 @@
 """Elementary path and circuit enumeration over the semiring of
-distinguished languages."""
+distinguished languages.
 
-from .graph import (
-    DirectedGraph,
-    EnumerationResult,
-    GraphParseError,
-    PathError,
-    VertexPath,
-    adjacency_matrix,
-    latin_matrix,
-    parse_graph,
-    path_cost,
-    serialize_graph,
-)
-from .enumeration import (
-    LatinPowerSequence,
-    WordLimitError,
-    count_paths,
-    elementary_circuits,
-    elementary_paths,
-    hamiltonian_circuits,
-    hamiltonian_paths,
-    latin_powers,
-    max_length_elementary,
-    optimal_hamiltonian,
-)
-from .languages import (
-    DistinguishedLanguage,
-    lang_compose,
-    lang_one,
-    lang_union,
-    lang_zero,
-    language,
-    language_of,
-)
-from .semiring import (
-    NATURALS,
-    DimensionError,
-    Semiring,
-    SemiringMatrix,
-    language_semiring,
-    mat_add,
-    mat_identity,
-    mat_mul,
-    mat_power_left,
-    mat_zero,
-    matrix,
-)
-from .words import (
-    Alphabet,
-    AlphabetError,
-    DistinguishedWord,
-    WordKind,
-    classify,
-    enumerate_distinguished,
-    latin_compose,
-    sigma_count,
-    word_from_symbols,
-)
-
-__all__ = [
-    "Alphabet",
-    "AlphabetError",
-    "DimensionError",
-    "DirectedGraph",
-    "DistinguishedLanguage",
-    "DistinguishedWord",
-    "EnumerationResult",
-    "GraphParseError",
-    "LatinPowerSequence",
-    "NATURALS",
-    "PathError",
-    "Semiring",
-    "SemiringMatrix",
-    "VertexPath",
-    "WordKind",
-    "WordLimitError",
-    "adjacency_matrix",
-    "classify",
-    "count_paths",
-    "elementary_circuits",
-    "elementary_paths",
-    "enumerate_distinguished",
-    "hamiltonian_circuits",
-    "hamiltonian_paths",
-    "lang_compose",
-    "lang_one",
-    "lang_union",
-    "lang_zero",
-    "language",
-    "language_of",
-    "language_semiring",
-    "latin_compose",
-    "latin_matrix",
-    "latin_powers",
-    "mat_add",
-    "mat_identity",
-    "mat_mul",
-    "mat_power_left",
-    "mat_zero",
-    "matrix",
-    "max_length_elementary",
-    "optimal_hamiltonian",
-    "parse_graph",
-    "path_cost",
-    "serialize_graph",
-    "sigma_count",
-    "word_from_symbols",
-]
+The package root exports nothing; import the modules: `graph`,
+`enumeration`, `bruteforce`, `cli`, `semiring`, `languages`, `words`."""

@@ -163,9 +163,15 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         handle.write("\n".join(lines) + "\n")
 
 
-def _optimal(graph: DirectedGraph, args, powers, candidates) -> list[VertexPath]:
+def _hamiltonian(graph: DirectedGraph, args, powers) -> list[VertexPath]:
+    if args.kind == "path":
+        return enumeration.hamiltonian_paths(graph, powers)
+    return enumeration.hamiltonian_circuits(graph, powers)
+
+
+def _optimal(graph: DirectedGraph, args, candidates) -> list[VertexPath]:
     best = enumeration.optimal_hamiltonian(
-        graph, args.kind, args.objective, args.start, args.end, powers, candidates
+        graph, candidates, args.objective, args.start, args.end
     )
     return [best[0]] if best is not None else []
 
@@ -190,18 +196,14 @@ _ENUMERATIONS = {
         "",
     ),
     "hamiltonian": (
-        lambda g, a, powers: (
-            enumeration.hamiltonian_paths(g, powers)
-            if a.kind == "path"
-            else enumeration.hamiltonian_circuits(g, powers)
-        ),
+        _hamiltonian,
         lambda g, a: bruteforce.dfs_hamiltonian(g, a.kind),
         (("kind", "kind"),),
         "",
     ),
     "optimal": (
-        lambda g, a, powers: _optimal(g, a, powers, None),
-        lambda g, a: _optimal(g, a, None, bruteforce.dfs_hamiltonian(g, a.kind)),
+        lambda g, a, powers: _optimal(g, a, _hamiltonian(g, a, powers)),
+        lambda g, a: _optimal(g, a, bruteforce.dfs_hamiltonian(g, a.kind)),
         (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
         "none\n",
     ),

@@ -202,46 +202,31 @@ def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
 
 
 def elementary_paths(
-    graph: DirectedGraph,
-    source: str,
-    target: str,
-    k: int,
-    powers: LatinPowerSequence | None = None,
+    graph: DirectedGraph, source: str, target: str, k: int, powers: LatinPowerSequence
 ) -> EnumerationResult:
     i, j = graph.index(source), graph.index(target)
     if i == j:
         raise ValueError("source equals target; use elementary_circuits")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
-    if powers is None:
-        powers = latin_powers(graph)
     words = powers.words(k, i, j)
     return EnumerationResult("path", source, target, k, tuple(_decode(graph, words)))
 
 
 def elementary_circuits(
-    graph: DirectedGraph,
-    start: str,
-    k: int,
-    powers: LatinPowerSequence | None = None,
+    graph: DirectedGraph, start: str, k: int, powers: LatinPowerSequence
 ) -> EnumerationResult:
     i = graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
-    if powers is None:
-        powers = latin_powers(graph)
     words = powers.words(k, i, i)
     return EnumerationResult("circuit", start, start, k, tuple(_decode(graph, words)))
 
 
-def hamiltonian_paths(
-    graph: DirectedGraph, powers: LatinPowerSequence | None = None
-) -> list[VertexPath]:
+def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
     """Every elementary path of arc-length n-1, in canonical order."""
     if graph.n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
-    if powers is None:
-        powers = latin_powers(graph)
     k = graph.n - 1
     found = []
     for i in range(graph.n):
@@ -251,12 +236,8 @@ def hamiltonian_paths(
     return _decode(graph, found)
 
 
-def hamiltonian_circuits(
-    graph: DirectedGraph, powers: LatinPowerSequence | None = None
-) -> list[VertexPath]:
+def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
     """Every elementary circuit of arc-length n, anchored per start vertex."""
-    if powers is None:
-        powers = latin_powers(graph)
     found = []
     for i in range(graph.n):
         found.extend(powers.words(graph.n, i, i))
@@ -267,12 +248,11 @@ def max_length_elementary(
     graph: DirectedGraph,
     source: str,
     target: str | None = None,
-    powers: LatinPowerSequence | None = None,
+    *,
+    powers: LatinPowerSequence,
 ) -> tuple[int, EnumerationResult] | None:
     """Longest nonempty elementary enumeration, or None when no elementary
     path (circuit when target is omitted or equals source) exists at all."""
-    if powers is None:
-        powers = latin_powers(graph)
     circuit = target is None or target == source
     top = graph.n if circuit else graph.n - 1
     for k in range(top, 0, -1):
@@ -310,41 +290,26 @@ def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int
 
 def optimal_hamiltonian(
     graph: DirectedGraph,
-    kind: str,
+    candidates: list[VertexPath],
     objective: str = "min",
     start: str | None = None,
     end: str | None = None,
-    powers: LatinPowerSequence | None = None,
-    candidates: list[VertexPath] | None = None,
 ) -> tuple[VertexPath, float] | None:
-    """Best Hamiltonian path/circuit under the objective, or None when no
-    candidate exists.  Ties go to the first candidate in canonical order."""
+    """The cheapest (objective "min") or dearest ("max") of `candidates`,
+    the Hamiltonian paths or circuits in canonical order, among those that
+    start at `start` and end at `end` (a circuit ends where it starts), with
+    its cost; None when no candidate is left.  Ties go to the first
+    candidate in canonical order."""
     if graph.costs is None:
         raise ValueError("optimal selection needs arc costs")
-    if kind not in ("path", "circuit"):
-        raise ValueError(f"unknown kind {kind!r}")
     if objective not in ("min", "max"):
         raise ValueError(f"unknown objective {objective!r}")
-    if candidates is None:
-        if kind == "path":
-            candidates = hamiltonian_paths(graph, powers)
-        else:
-            candidates = hamiltonian_circuits(graph, powers)
-    if start is not None:
-        candidates = [p for p in candidates if p.vertices[0] == start]
-    if end is not None and kind == "path":
-        candidates = [p for p in candidates if p.vertices[-1] == end]
-    if not candidates:
-        return None
-    best = None
-    best_cost = None
-    for p in candidates:
-        cost = path_cost(graph, p)
-        better = (
-            best_cost is None
-            or (objective == "min" and cost < best_cost)
-            or (objective == "max" and cost > best_cost)
-        )
-        if better:
-            best, best_cost = p, cost
-    return best, best_cost
+    priced = (
+        (p, path_cost(graph, p))
+        for p in candidates
+        if (start is None or p.vertices[0] == start)
+        and (end is None or p.vertices[-1] == end)
+    )
+    # min and max both return the first extreme item
+    pick = min if objective == "min" else max
+    return pick(priced, key=lambda item: item[1], default=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from functools import reduce
 
 from .semiring import NATURALS, SemiringMatrix, language_semiring
 from .words import Alphabet, DistinguishedWord, WordKind
@@ -130,6 +129,7 @@ def parse_graph(text: str) -> DirectedGraph:
     arcs: list[tuple[str, str]] = []
     costs: list[float | None] = []
     arc_lines: dict[tuple[str, str], int] = {}
+    magnitude = 0.0  # sum of |cost|, a bound on every path cost
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,6 +142,10 @@ def parse_graph(text: str) -> DirectedGraph:
                 raise GraphParseError(line_no, "vertex list is empty")
             if len(set(names)) != len(names):
                 raise GraphParseError(line_no, "duplicate vertex name")
+            for name in names:
+                # its arc lines would read as comments
+                if name.startswith("#"):
+                    raise GraphParseError(line_no, f"vertex name {name!r} starts with '#'")
             vertices = tuple(names)
             continue
         parts = line.split()
@@ -165,6 +169,11 @@ def parse_graph(text: str) -> DirectedGraph:
                 raise GraphParseError(line_no, f"invalid cost {parts[2]!r}") from None
             if not math.isfinite(cost):
                 raise GraphParseError(line_no, f"cost {parts[2]!r} is not finite")
+            magnitude += abs(cost)
+            if math.isinf(magnitude):
+                raise GraphParseError(
+                    line_no, f"cost {parts[2]!r} takes the sum of |cost| beyond the float range"
+                )
             costs.append(cost)
         else:
             costs.append(None)
@@ -223,14 +232,8 @@ def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
     return SemiringMatrix(sr, tuple(rows))
 
 
-def path_cost(graph: DirectedGraph, path: VertexPath, aggregation: str = "sum") -> float:
+def path_cost(graph: DirectedGraph, path: VertexPath) -> float:
+    """Sum of the arc costs along the path, left to right."""
     if graph.costs is None:
         raise ValueError("graph has no arc costs")
-    if aggregation not in ("sum", "product"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    arc_costs = [
-        graph.cost_of(u, v) for u, v in zip(path.vertices, path.vertices[1:])
-    ]
-    if aggregation == "sum":
-        return sum(arc_costs)
-    return reduce(lambda x, y: x * y, arc_costs)
+    return sum([graph.cost_of(u, v) for u, v in zip(path.vertices, path.vertices[1:])])

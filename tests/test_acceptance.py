@@ -170,9 +170,9 @@ def test_criterion_4_five_vertex_golden(five_vertex_graph):
     assert path_cost(g, VertexPath(("4", "3", "2", "5", "1"))) == 15
     assert path_cost(g, VertexPath(("1", "5", "4", "3", "2", "1"))) == 16
 
-    best_max = optimal_hamiltonian(g, "path", "max", start="4", end="1", powers=powers)
+    best_max = optimal_hamiltonian(g, ham_paths, "max", start="4", end="1")
     assert best_max[0].render() == "4-3-2-5-1" and best_max[1] == 15
-    best_min = optimal_hamiltonian(g, "path", "min", start="4", end="1", powers=powers)
+    best_min = optimal_hamiltonian(g, ham_paths, "min", start="4", end="1")
     assert best_min[0].render() == "4-5-3-2-1" and best_min[1] == 10
     report(4, "5-vertex golden suite (diagonal, Hamiltonian sets, costs; "
               "two printed figures corrected against the oracle)")

@@ -7,7 +7,12 @@ from latinpaths.bruteforce import (
     dfs_hamiltonian,
     enumerate_all_elementary,
 )
-from latinpaths.enumeration import count_paths, hamiltonian_circuits, hamiltonian_paths
+from latinpaths.enumeration import (
+    count_paths,
+    hamiltonian_circuits,
+    hamiltonian_paths,
+    latin_powers,
+)
 from latinpaths.graph import DirectedGraph, validate_path
 from latinpaths.semiring import mat_power_left
 from latinpaths.graph import adjacency_matrix
@@ -95,8 +100,9 @@ class TestCountAllPaths:
 class TestHamiltonian:
     def test_matches_latin_powers(self, four_vertex_graph, five_vertex_graph, triangle):
         for g in (four_vertex_graph, five_vertex_graph, triangle):
-            assert dfs_hamiltonian(g, "path") == hamiltonian_paths(g)
-            assert dfs_hamiltonian(g, "circuit") == hamiltonian_circuits(g)
+            powers = latin_powers(g)
+            assert dfs_hamiltonian(g, "path") == hamiltonian_paths(g, powers)
+            assert dfs_hamiltonian(g, "circuit") == hamiltonian_circuits(g, powers)
 
     def test_single_vertex(self):
         g = DirectedGraph(("a",), (("a", "a"),))

@@ -146,8 +146,18 @@ class TestOptimal:
         assert payload["items"][0]["cost"] == 15
 
     def test_without_costs_fails(self, four_file):
-        code, _, _ = run_cli("optimal", four_file, "--kind", "path")
-        assert code == 2
+        for engine in ("lcdl", "oracle"):
+            code, _, err = run_cli("optimal", four_file, "--kind", "path", "--engine", engine)
+            assert code == 2
+            assert "needs arc costs" in err
+
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    def test_circuit_to_is_from(self, five_file, engine):
+        # a circuit ends where it starts; the first circuit overall starts at 1
+        query = ("optimal", five_file, "--kind", "circuit", "--engine", engine)
+        to_3 = run_json(*query, "--to", "3")
+        assert to_3["items"] == run_json(*query, "--from", "3")["items"]
+        assert to_3["items"][0]["vertices"] == ["3", "2", "1", "5", "4", "3"]
 
     def test_no_candidates(self, tmp_path):
         path = tmp_path / "tiny.txt"
@@ -245,6 +255,21 @@ class TestErrorsAndGuards:
         assert code == 2
         assert "line 2:" in err
 
+    def test_costs_whose_total_overflows(self, tmp_path):
+        # each cost is finite, but a path over both would cost inf
+        path = tmp_path / "costs.txt"
+        path.write_text("vertices: a b c\na b 1e308\nb c 1e308\n")
+        code, out, err = run_cli("optimal", str(path), "--kind", "path", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "line 3:" in err
+
+    def test_vertex_name_starting_with_hash(self, tmp_path):
+        path = tmp_path / "hash.txt"
+        path.write_text("vertices: a #b c\na #b\n#b c\n")
+        code, out, err = run_cli("hamiltonian", str(path), "--kind", "path")
+        assert (code, out) == (2, "")
+        assert "line 1:" in err
+
 
 class TestDot:
     def test_highlights_result_arcs(self, five_file, tmp_path):
@@ -295,6 +320,7 @@ class TestJsonContract:
             ("optimal", five_file, "--kind", "path", "--objective", "max"),
             ("optimal", five_file, "--kind", "circuit"),
             ("optimal", five_file, "--kind", "circuit", "--from", "3", "--objective", "max"),
+            ("optimal", five_file, "--kind", "circuit", "--to", "3"),
             ("matrix", four_file, "-k", "1"),
             ("matrix", four_file, "-k", "2"),
             ("matrix", five_file, "-k", "3"),

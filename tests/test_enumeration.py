@@ -141,22 +141,23 @@ class TestHamiltonian:
 
     def test_no_arcs(self):
         g = DirectedGraph(("a", "b"), ())
-        assert hamiltonian_paths(g) == []
-        assert hamiltonian_circuits(g) == []
+        powers = latin_powers(g)
+        assert hamiltonian_paths(g, powers) == []
+        assert hamiltonian_circuits(g, powers) == []
 
     def test_single_vertex_self_loop_circuit(self):
         g = DirectedGraph(("a",), (("a", "a"),))
-        assert [c.render() for c in hamiltonian_circuits(g)] == ["a-a"]
+        assert [c.render() for c in hamiltonian_circuits(g, latin_powers(g))] == ["a-a"]
 
     def test_paths_need_two_vertices(self):
         g = DirectedGraph(("a",), (("a", "a"),))
         with pytest.raises(ValueError):
-            hamiltonian_paths(g)
+            hamiltonian_paths(g, latin_powers(g))
 
 
 class TestMaxLength:
     def test_paths(self, four_vertex_graph, powers4):
-        k, result = max_length_elementary(four_vertex_graph, "v2", "v4", powers4)
+        k, result = max_length_elementary(four_vertex_graph, "v2", "v4", powers=powers4)
         assert k == 2
         assert paths_of(result) == ["v2-v3-v4"]
 
@@ -166,7 +167,7 @@ class TestMaxLength:
         assert paths_of(result) == ["v1-v1"]
 
     def test_none_when_unreachable(self, four_vertex_graph, powers4):
-        assert max_length_elementary(four_vertex_graph, "v4", "v1", powers4) is None
+        assert max_length_elementary(four_vertex_graph, "v4", "v1", powers=powers4) is None
         assert max_length_elementary(four_vertex_graph, "v4", powers=powers4) is None
 
 
@@ -226,44 +227,55 @@ class TestCountPaths:
 
 class TestOptimalHamiltonian:
     def test_max_path(self, five_vertex_graph, powers5):
-        best = optimal_hamiltonian(
-            five_vertex_graph, "path", "max", start="4", end="1", powers=powers5
-        )
+        g = five_vertex_graph
+        best = optimal_hamiltonian(g, hamiltonian_paths(g, powers5), "max", start="4", end="1")
         assert best is not None
         assert best[0].render() == "4-3-2-5-1"
         assert best[1] == 15
 
     def test_min_path(self, five_vertex_graph, powers5):
-        best = optimal_hamiltonian(
-            five_vertex_graph, "path", "min", start="4", end="1", powers=powers5
-        )
+        g = five_vertex_graph
+        best = optimal_hamiltonian(g, hamiltonian_paths(g, powers5), "min", start="4", end="1")
         assert best[0].render() == "4-5-3-2-1"
         assert best[1] == 10
 
     def test_circuit_from_vertex(self, five_vertex_graph, powers5):
+        g = five_vertex_graph
+        circuits = hamiltonian_circuits(g, powers5)
         for objective in ("min", "max"):
-            best = optimal_hamiltonian(
-                five_vertex_graph, "circuit", objective, start="1", powers=powers5
-            )
-            assert best[0].render() == "1-5-4-3-2-1"
-            assert best[1] == 16
+            for ends in ({"start": "1"}, {"end": "1"}, {"start": "1", "end": "1"}):
+                best = optimal_hamiltonian(g, circuits, objective, **ends)
+                assert best[0].render() == "1-5-4-3-2-1"
+                assert best[1] == 16
 
-    def test_no_candidates(self, five_vertex_graph, powers5):
+    def test_no_candidates(self):
         g = DirectedGraph(("a", "b"), (("a", "b"),), (1.0,))
-        assert optimal_hamiltonian(g, "circuit") is None
+        assert optimal_hamiltonian(g, hamiltonian_circuits(g, latin_powers(g))) is None
+        paths = hamiltonian_paths(g, latin_powers(g))
+        assert optimal_hamiltonian(g, paths, start="b") is None
 
     def test_requires_costs(self, four_vertex_graph, powers4):
-        with pytest.raises(ValueError):
-            optimal_hamiltonian(four_vertex_graph, "path", powers=powers4)
+        g = four_vertex_graph
+        with pytest.raises(ValueError, match="needs arc costs"):
+            optimal_hamiltonian(g, hamiltonian_paths(g, powers4))
+
+    # two Hamiltonian paths of equal cost, a-b-c and a-c-b; the canonically
+    # first wins under either objective
+    TIED = DirectedGraph(
+        ("a", "b", "c"),
+        (("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")),
+        (1.0, 1.0, 1.0, 1.0),
+    )
 
     def test_tie_breaks_canonically(self):
-        # two Hamiltonian paths of equal cost; the canonically first wins
-        g = DirectedGraph(
-            ("a", "b", "c"),
-            (("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")),
-            (1.0, 1.0, 1.0, 1.0),
-        )
-        best = optimal_hamiltonian(g, "path", "min")
+        g = self.TIED
+        best = optimal_hamiltonian(g, hamiltonian_paths(g, latin_powers(g)), "min")
+        assert best[0].render() == "a-b-c"
+        assert best[1] == 2
+
+    def test_max_tie_breaks_canonically(self):
+        g = self.TIED
+        best = optimal_hamiltonian(g, hamiltonian_paths(g, latin_powers(g)), "max")
         assert best[0].render() == "a-b-c"
         assert best[1] == 2
 

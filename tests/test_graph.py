@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinpaths.graph import (
     DirectedGraph,
@@ -67,6 +71,18 @@ class TestParse:
         g = parse_graph("# c\n\nvertices: a b\n# arc\na b\n")
         assert g.arcs == (("a", "b"),)
 
+    def test_vertex_name_starting_with_hash(self):
+        # the arc line "#b c" would read as a comment
+        with pytest.raises(GraphParseError, match="^line 2: vertex name '#b'"):
+            parse_graph("# names\nvertices: a #b c\na #b\n#b c\n")
+        assert parse_graph("vertices: a b#\na b#\n").arcs == (("a", "b#"),)
+
+    def test_costs_whose_total_overflows(self):
+        with pytest.raises(GraphParseError, match="^line 3: cost '-1e308'"):
+            parse_graph("vertices: a b c\na b 1e308\nb c -1e308\nc a 1\n")
+        big = parse_graph("vertices: a b\na b 1e308\nb a 7e307\n")
+        assert big.costs == (1e308, 7e307)
+
 
 class TestSerialize:
     def test_round_trip_unweighted(self, four_vertex_graph):
@@ -87,6 +103,74 @@ class TestSerialize:
     def test_arc_order(self):
         g = parse_graph("vertices: a b\nb a\na b\n")
         assert serialize_graph(g) == "vertices: a b\na b\nb a\n"
+
+
+# Tokens of edge-list text: names, some of them starting with '#', and cost
+# texts, valid or not, some of them large enough that their total overflows.
+NAMES = st.one_of(
+    st.sampled_from(["a", "b", "c", "#b", "#", "a#", "vertices:"]),
+    st.text(alphabet="ab#:.-1e", min_size=1, max_size=3),
+)
+COSTS = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.1", "-0", "1_0", "1e308", "-1e308", "1e400", "NaN", "inf", "x"]),
+)
+SPACES = st.sampled_from([" ", "  ", "\t"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text and the arcs its arc lines declare, in file order."""
+    names = draw(st.lists(NAMES, max_size=4))
+    pool = st.sampled_from(names) if names else NAMES
+    lines, arcs = [], []
+    if draw(st.booleans()):
+        lines.append("# " + draw(st.text(alphabet="ab #:", max_size=5)))
+    lines.append("vertices:" + "".join(draw(SPACES) + name for name in names))
+    for _ in range(draw(st.integers(0, 6))):
+        form = draw(st.sampled_from(["arc", "arc cost", "comment", "blank", "malformed"]))
+        if form.startswith("arc"):
+            tokens = [draw(pool), draw(pool)]
+            arcs.append(tuple(tokens))
+            if form == "arc cost":
+                tokens.append(draw(COSTS))
+        elif form == "comment":
+            tokens = ["#" + draw(st.text(alphabet="ab #", max_size=4))]
+        elif form == "blank":
+            tokens = []
+        else:  # one token, or four: never an arc
+            tokens = [draw(pool) for _ in range(draw(st.sampled_from([1, 4])))]
+        lines.append(draw(st.sampled_from(["", " "])) + "".join(
+            (draw(SPACES) if t else "") + token for t, token in enumerate(tokens)
+        ))
+    return "\n".join(lines) + "\n", names, arcs
+
+
+def arc_costs(graph):
+    return dict(zip(graph.arcs, graph.costs or (None,) * len(graph.arcs)))
+
+
+class TestTextProperty:
+    @settings(max_examples=400)
+    @given(edge_list_texts())
+    def test_parses_losslessly_or_fails_on_a_line(self, case):
+        """Edge-list text either parses to a graph holding every declared
+        name and every arc line, which round-trips through serialize_graph
+        (arcs come back in canonical order), or fails with a line number."""
+        text, names, arcs = case
+        try:
+            graph = parse_graph(text)
+        except GraphParseError as exc:
+            found = re.match(r"line (\d+): ", str(exc))
+            assert found, str(exc)
+            assert 1 <= int(found.group(1)) <= len(text.splitlines())
+            return
+        assert graph.vertices == tuple(names)
+        assert list(graph.arcs) == arcs
+        again = parse_graph(serialize_graph(graph))
+        assert again.vertices == graph.vertices
+        assert arc_costs(again) == arc_costs(graph)
 
 
 class TestAdjacencyMatrix:
@@ -151,10 +235,6 @@ class TestPathCost:
     def test_single_arc(self, five_vertex_graph):
         assert path_cost(five_vertex_graph, VertexPath(("5", "4"))) == 1
 
-    def test_product_aggregation(self, five_vertex_graph):
-        p = VertexPath(("4", "5", "3", "2", "1"))
-        assert path_cost(five_vertex_graph, p, aggregation="product") == 4 * 2 * 1 * 3
-
     def test_missing_costs(self, four_vertex_graph):
         with pytest.raises(ValueError):
             path_cost(four_vertex_graph, VertexPath(("v1", "v2")))
@@ -166,10 +246,6 @@ class TestPathCost:
             path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "1")))
         with pytest.raises(PathError):
             five_vertex_graph.cost_of("2", "3")
-
-    def test_unknown_aggregation(self, five_vertex_graph):
-        with pytest.raises(ValueError):
-            path_cost(five_vertex_graph, VertexPath(("5", "4")), aggregation="avg")
 
 
 class TestVertexPath:
