@@ -36,6 +36,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -49,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--limit",
-        type=int,
+        type=_positive_int,
         default=enumeration.DEFAULT_WORD_LIMIT,
-        help="stored-word guard for latin powers (lcdl engine only)",
+        help="stored-word guard on each latin power, or on the entries of each "
+        "power of the optimal recurrence (lcdl engine only)",
     )
     common.add_argument("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")
 
@@ -163,16 +174,18 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         handle.write("\n".join(lines) + "\n")
 
 
-def _hamiltonian(graph: DirectedGraph, args, powers) -> list[VertexPath]:
+def _powers(graph: DirectedGraph, args) -> enumeration.LatinPowerSequence:
+    return enumeration.latin_powers(graph, args.limit)
+
+
+def _hamiltonian(graph: DirectedGraph, args) -> list[VertexPath]:
+    powers = _powers(graph, args)
     if args.kind == "path":
         return enumeration.hamiltonian_paths(graph, powers)
     return enumeration.hamiltonian_circuits(graph, powers)
 
 
-def _optimal(graph: DirectedGraph, args, candidates) -> list[VertexPath]:
-    best = enumeration.optimal_hamiltonian(
-        graph, candidates, args.objective, args.start, args.end
-    )
+def _optimal(best) -> list[VertexPath]:
     return [best[0]] if best is not None else []
 
 
@@ -180,17 +193,16 @@ _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 
 # Commands that answer with a list of paths: (lcdl call, oracle call, query
 # fields as (JSON key, argument name) pairs, text output when nothing is
-# found).  Both calls return the paths in canonical order; the lcdl call gets
-# the latin powers built under --limit.
+# found).  Both calls return the paths in canonical order.
 _ENUMERATIONS = {
     "paths": (
-        lambda g, a, powers: enumeration.elementary_paths(g, a.i, a.j, a.k, powers).items,
+        lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, _powers(g, a)).items,
         lambda g, a: bruteforce.dfs_elementary_paths(g, a.i, a.j, a.k).items,
         _PAIR_FIELDS,
         "",
     ),
     "circuits": (
-        lambda g, a, powers: enumeration.elementary_circuits(g, a.i, a.k, powers).items,
+        lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, _powers(g, a)).items,
         lambda g, a: bruteforce.dfs_elementary_circuits(g, a.i, a.k).items,
         (("start", "i"), ("length", "k")),
         "",
@@ -202,8 +214,10 @@ _ENUMERATIONS = {
         "",
     ),
     "optimal": (
-        lambda g, a, powers: _optimal(g, a, _hamiltonian(g, a, powers)),
-        lambda g, a: _optimal(g, a, bruteforce.dfs_hamiltonian(g, a.kind)),
+        lambda g, a: _optimal(enumeration.held_karp(
+            g, a.kind, a.objective, a.start, a.end, a.limit)),
+        lambda g, a: _optimal(enumeration.optimal_hamiltonian(
+            g, bruteforce.dfs_hamiltonian(g, a.kind), a.objective, a.start, a.end)),
         (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
         "none\n",
     ),
@@ -213,10 +227,7 @@ _ENUMERATIONS = {
 def _run_enumeration(args) -> str:
     lcdl, oracle, fields, none_text = _ENUMERATIONS[args.command]
     graph = _load_graph(args.file)
-    if args.engine == "oracle":
-        items = oracle(graph, args)
-    else:
-        items = lcdl(graph, args, enumeration.latin_powers(graph, args.limit))
+    items = (oracle if args.engine == "oracle" else lcdl)(graph, args)
     if args.dot:
         _write_dot(args.dot, graph, items)
     return _emit_result(graph, _query(args.command, fields, args), items, args.format, none_text)
@@ -243,10 +254,9 @@ def _run_count(args) -> str:
         value = bruteforce.dfs_count_all_paths(graph, args.i, args.j, args.k)
     else:
         value = enumeration.count_paths(graph, args.i, args.j, args.k)
-    with _any_int_length():
-        if args.format == "json":
-            return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
-        return f"{value}\n"
+    if args.format == "json":
+        return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
+    return f"{value}\n"
 
 
 def _render_oracle_entry(graph: DirectedGraph, sequences) -> str:
@@ -267,9 +277,8 @@ def _run_matrix(args) -> str:
             for u in graph.vertices
         ]
     else:
-        powers = enumeration.latin_powers(graph, args.limit)
         rendered = [
-            [entry.render() for entry in row] for row in powers.power(args.k).rows
+            [entry.render() for entry in row] for row in _powers(graph, args).power(args.k).rows
         ]
     if args.format == "json":
         return _json({"query": {"command": "matrix", "k": args.k}, "rows": rendered})
@@ -322,7 +331,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        output = _RUNNERS[args.command](args)
+        # counts and word censuses can run to any number of digits
+        with _any_int_length():
+            output = _RUNNERS[args.command](args)
     except enumeration.WordLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

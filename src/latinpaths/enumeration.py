@@ -15,6 +15,13 @@ intermediate.  The generic product over the semiring of distinguished
 languages stays as the executable reference: `reference_powers` computes
 it, and `LatinPowerSequence.power` rebuilds a kernel power in that
 representation, on demand, for comparison and for the `matrix` command.
+
+Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
+same left recurrence keeping only the best word per (first vertex, vertex
+set): the Bellman / Held-Karp dynamic program, O(2^n n^2) instead of the
+n! words of the powers.  `optimal_hamiltonian` selects from a full
+enumeration and is its reference.  Both compare costs exactly, as integers
+(`graph.exact_costs`), and break ties by canonical order.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .graph import (
     EnumerationResult,
     VertexPath,
     adjacency_matrix,
+    exact_costs,
     latin_matrix,
     path_cost,
 )
@@ -127,9 +135,12 @@ def _word_matrix(rows: list[list[list[Word]]]) -> WordMatrix:
 def latin_powers(
     graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> LatinPowerSequence:
-    """All n left powers of the latin matrix, with the explosion guard and
-    the structural check that the n-th power is diagonal."""
+    """All n left powers of the latin matrix, with the explosion guard on
+    each of them, the first included, and the structural check that the
+    n-th power is diagonal."""
     n = graph.n
+    if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
+        raise WordLimitError(1, len(graph.arcs), word_limit)
     succ = _successors(graph)
     prev: list[list[list[Word]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -288,6 +299,15 @@ def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int
     return mat_power_left(adjacency_matrix(graph), k).rows[i][j]
 
 
+def _signed(graph: DirectedGraph, objective: str) -> int:
+    """1 for "min", -1 for "max": exact costs times this are minimised."""
+    if graph.costs is None:
+        raise ValueError("optimal selection needs arc costs")
+    if objective not in ("min", "max"):
+        raise ValueError(f"unknown objective {objective!r}")
+    return 1 if objective == "min" else -1
+
+
 def optimal_hamiltonian(
     graph: DirectedGraph,
     candidates: list[VertexPath],
@@ -298,18 +318,83 @@ def optimal_hamiltonian(
     """The cheapest (objective "min") or dearest ("max") of `candidates`,
     the Hamiltonian paths or circuits in canonical order, among those that
     start at `start` and end at `end` (a circuit ends where it starts), with
-    its cost; None when no candidate is left.  Ties go to the first
-    candidate in canonical order."""
-    if graph.costs is None:
-        raise ValueError("optimal selection needs arc costs")
-    if objective not in ("min", "max"):
-        raise ValueError(f"unknown objective {objective!r}")
-    priced = (
-        (p, path_cost(graph, p))
-        for p in candidates
+    its cost; None when no candidate is left.  Costs compare exactly
+    (`exact_costs`); ties go to the first candidate in canonical order."""
+    sign = _signed(graph, objective)
+    for name in (start, end):
+        if name is not None:
+            graph.index(name)
+    exact = dict(zip(graph.arcs, exact_costs(graph)))
+    kept = (
+        p for p in candidates
         if (start is None or p.vertices[0] == start)
         and (end is None or p.vertices[-1] == end)
     )
-    # min and max both return the first extreme item
-    pick = min if objective == "min" else max
-    return pick(priced, key=lambda item: item[1], default=None)
+    # min returns the first smallest item
+    best = min(
+        kept,
+        key=lambda p: sign * sum(exact[arc] for arc in zip(p.vertices, p.vertices[1:])),
+        default=None,
+    )
+    return None if best is None else (best, path_cost(graph, best))
+
+
+def held_karp(
+    graph: DirectedGraph,
+    kind: str,
+    objective: str = "min",
+    start: str | None = None,
+    end: str | None = None,
+    word_limit: int = DEFAULT_WORD_LIMIT,
+) -> tuple[VertexPath, float] | None:
+    """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
+    "path") or circuit ("circuit"), without enumerating them: the left
+    recurrence of `latin_powers` keeping one word per entry, the
+    Bellman / Held-Karp dynamic program over vertex sets.
+
+    Power k maps (first vertex, vertex mask) to the least (signed exact
+    cost, index tuple) among its words; the sign is -1 for "max", so a tie
+    still goes to the canonically first word.  Prepending never reads the
+    last vertex, so one best word per key suffices, and the words' ends are
+    fixed by the seed: the arcs into `end`, or into any vertex.  Circuits
+    are anchored at `start`, else `end`, else v_1, and closed over the
+    arcs (s, m) at power n: with exact costs every rotation of a circuit
+    costs the same, and every Hamiltonian circuit passes v_1, so the
+    canonically first optimum starts there.  `word_limit` bounds the
+    entries of each power, as in `latin_powers`."""
+    if kind == "path" and graph.n < 2:
+        raise ValueError("Hamiltonian paths need at least 2 vertices")
+    sign = _signed(graph, objective)
+    s, t = (None if name is None else graph.index(name) for name in (start, end))
+    n, circuit = graph.n, kind == "circuit"
+    if circuit:
+        if s is not None and t is not None and s != t:
+            return None
+        s = t = s if s is not None else t if t is not None else 0
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (i, signed cost of (i, m))
+    for (u, v), c in zip(graph.arcs, exact_costs(graph)):
+        into[index[v]].append((index[u], sign * c))
+    # power 0: the one-vertex words at the ends
+    cur = {(j, 1 << j): (0, (j,)) for j in (range(n) if t is None else (t,))}
+    for k in range(1, n):
+        nxt: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for (m, mask), (c, w) in cur.items():
+            for i, arc in into[m]:
+                if not mask >> i & 1:
+                    key, word = (i, mask | 1 << i), (c + arc, (i,) + w)
+                    old = nxt.get(key)
+                    if old is None or word < old:
+                        nxt[key] = word
+        if len(nxt) > word_limit:
+            raise WordLimitError(k, len(nxt), word_limit)
+        cur = nxt
+    if circuit:
+        closing = {m: arc for m in range(n) for i, arc in into[m] if i == s}
+        words = [(c + closing[m], (s,) + w) for (m, _), (c, w) in cur.items() if m in closing]
+    else:
+        words = [word for (m, _), word in cur.items() if s is None or m == s]
+    if not words:
+        return None
+    path = VertexPath(tuple(graph.vertices[i] for i in min(words)[1]))
+    return path, path_cost(graph, path)

@@ -232,8 +232,22 @@ def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
     return SemiringMatrix(sr, tuple(rows))
 
 
+def exact_costs(graph: DirectedGraph) -> tuple[int, ...]:
+    """The arc costs as integers over one common power-of-ten denominator,
+    parallel to `graph.arcs`, so that sums of costs compare exactly (0.1 +
+    0.2 equals 0.3).  Each cost is read as the shortest decimal that gives
+    back its float, which is the decimal of the file whenever a float holds
+    its digits."""
+    if graph.costs is None:
+        raise ValueError("graph has no arc costs")
+    decimals = [Decimal(repr(c)) for c in graph.costs]
+    shift = max([0] + [-d.as_tuple().exponent for d in decimals])
+    return tuple(int(d.scaleb(shift)) for d in decimals)
+
+
 def path_cost(graph: DirectedGraph, path: VertexPath) -> float:
-    """Sum of the arc costs along the path, left to right."""
+    """Sum of the arc costs along the path, left to right: the printed
+    cost.  Comparisons between paths use `exact_costs`."""
     if graph.costs is None:
         raise ValueError("graph has no arc costs")
     return sum([graph.cost_of(u, v) for u, v in zip(path.vertices, path.vertices[1:])])

@@ -4,6 +4,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinpaths.cli import main
 
@@ -166,6 +168,58 @@ class TestOptimal:
         assert code == 0
         assert out == "none\n"
 
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    def test_unknown_vertex(self, tmp_path, engine, flag):
+        path = tmp_path / "tri.txt"
+        path.write_text("vertices: a b c\na b 1\nb c 1\nc a 1\n")
+        for kind in ("path", "circuit"):
+            code, out, err = run_cli(
+                "optimal", str(path), "--kind", kind, flag, "zz", "--engine", engine
+            )
+            assert (code, out) == (2, "")
+            assert "unknown vertex 'zz'" in err
+
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    def test_exact_tie(self, tmp_path, engine):
+        # a-b-c and a-c-b both cost 0.3 in decimals; the first in canonical
+        # order wins, printed with its float sum
+        path = tmp_path / "tie.txt"
+        path.write_text("vertices: a b c\na b 0.1\nb c 0.2\na c 0.3\nc b 0\n")
+        code, out, _ = run_cli(
+            "optimal", str(path), "--kind", "path", "--from", "a", "--engine", engine
+        )
+        assert (code, out) == (0, "a-b-c cost=0.30000000000000004\n")
+
+    def test_feasible_where_enumeration_is_not(self, tmp_path):
+        names = [f"v{i}" for i in range(1, 13)]
+        arcs = [(u, v) for u in names for v in names if u != v]
+        path = tmp_path / "k12.txt"
+        path.write_text(
+            "vertices: " + " ".join(names) + "\n"
+            + "".join(f"{u} {v} {a % 4 + 1}\n" for a, (u, v) in enumerate(arcs))
+        )
+        code, out, _ = run_cli("optimal", str(path), "--kind", "path")
+        assert code == 0 and out.count("-") == 11
+        # the recurrence's largest power holds 12 * C(11, 5) = 5544 entries;
+        # the third latin power holds 12*11*10*9 paths and 12*11*10 circuits
+        limit = ("--limit", "5544")
+        assert run_cli("optimal", str(path), "--kind", "path", *limit)[:2] == (0, out)
+        code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", *limit)
+        assert (code, out) == (3, "")
+        assert "latin power 3 holds 13200 words" in err
+
+    def test_builds_no_latin_powers(self, five_file, monkeypatch):
+        from latinpaths import enumeration
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("latin_powers called")
+
+        monkeypatch.setattr(enumeration, "latin_powers", refuse)
+        for kind in ("path", "circuit"):
+            assert run_cli("optimal", five_file, "--kind", kind)[0] == 0
+        assert run_cli("optimal", five_file, "--kind", "path", "--limit", "3")[0] == 3
+
 
 class TestMatrix:
     def test_square_table(self, four_file):
@@ -218,6 +272,13 @@ class TestWords:
         code, _, _ = run_cli("words", "-n", "9")
         assert code == 2
 
+    def test_census_beyond_the_int_text_cap(self):
+        # sigma(1600) has 4,435 digits, over the 4,300 Python 3.11 converts
+        code, out, _ = run_cli("words", "-n", "1600", "--count-only")
+        assert code == 0 and len(out) == 4436
+        code, json_out, _ = run_cli("words", "-n", "1600", "--count-only", "--format", "json")
+        assert code == 0 and f'"sigma": {out.strip()}' in json_out
+
 
 class TestErrorsAndGuards:
     def test_parse_error(self, tmp_path):
@@ -246,6 +307,24 @@ class TestErrorsAndGuards:
         code, _, err = run_cli("optimal", five_file, "--kind", "path", "--limit", "3")
         assert code == 3
         assert "limit" in err
+
+    def test_limit_counts_the_first_power(self, tmp_path):
+        path = tmp_path / "match.txt"
+        path.write_text("vertices: a b c d\na b\nc d\n")
+        query = ("paths", str(path), "-i", "a", "-j", "b", "-k", "1")
+        code, out, err = run_cli(*query, "--limit", "1")
+        assert (code, out) == (3, "")
+        assert "latin power 1 holds 2 words, over the limit of 1" in err
+        assert run_cli(*query, "--limit", "2")[:2] == (0, "a-b\n")
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "x"])
+    def test_limit_must_be_positive(self, five_file, limit):
+        for engine in ("lcdl", "oracle"):
+            code, out, err = run_cli(
+                "hamiltonian", five_file, "--kind", "path", "--limit", limit, "--engine", engine
+            )
+            assert (code, out) == (2, "")
+            assert "argument --limit" in err
 
     @pytest.mark.parametrize("cost", ["NaN", "sNaN", "Infinity", "1e400"])
     def test_non_finite_cost(self, tmp_path, cost):
@@ -331,3 +410,77 @@ class TestJsonContract:
                 _, lcdl_out, _ = run_cli(*query, "--format", fmt, "--engine", "lcdl")
                 _, oracle_out, _ = run_cli(*query, "--format", fmt, "--engine", "oracle")
                 assert lcdl_out == oracle_out, (query, fmt)
+
+
+# Argument vocabulary of the fuzz test: known and unknown vertex names,
+# and lengths and limits that are zero, negative, in and out of range.
+# Valid values are listed more than once so that most queries get an answer.
+NAMES = st.sampled_from(["v1", "v2", "v3", "v1", "v2", "v5", "zz", "#v1"])
+NUMBERS = st.sampled_from(["1", "2", "3", "1", "2", "3", "4", "5", "6", "0", "-1", "x"])
+COUNT_LENGTHS = st.sampled_from(["1", "2", "7", "50", "0", "-1"])
+KINDS = st.sampled_from(["path", "circuit"])
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Edge-list text with up to five vertices, costs on all arcs, none or
+    some, and sometimes one malformed line."""
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(1, n + 1)]
+    arcs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), unique=True))
+    costs = draw(st.sampled_from(["none", "all", "all", "some"]))
+    lines = ["vertices: " + " ".join(names)]
+    for a, (u, v) in enumerate(arcs):
+        cost = draw(st.sampled_from(["1", "2.5", "-0.5", "0.1"]))
+        with_cost = costs == "all" or costs == "some" and a % 2 == 0
+        lines.append(f"{u} {v} {cost}" if with_cost else f"{u} {v}")
+    bad = draw(st.sampled_from(
+        [None] * 5 + ["v1", "v1 zz", "v1 v1 NaN", "v1 v2 3 4", "vertices: a"]
+    ))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(
+        ["paths", "circuits", "hamiltonian", "count", "optimal", "matrix", "words"]
+    ))
+    argv = [command]
+    if command != "words":
+        argv.append("GRAPH")
+    if command in ("paths", "count"):
+        argv += ["-i", draw(NAMES), "-j", draw(NAMES), "-k"]
+        argv.append(draw(COUNT_LENGTHS if command == "count" else NUMBERS))
+    elif command == "circuits":
+        argv += ["-i", draw(NAMES), "-k", draw(NUMBERS)]
+    elif command in ("hamiltonian", "optimal"):
+        argv += ["--kind", draw(KINDS)]
+    elif command == "matrix":
+        argv += ["-k", draw(NUMBERS)]
+    if command == "optimal":
+        argv += draw(st.sampled_from([[], ["--objective", "min"], ["--objective", "max"]]))
+        for flag in draw(st.sampled_from([(), ("--from",), ("--to",), ("--from", "--to")])):
+            argv += [flag, draw(NAMES)]
+    if command == "words":
+        argv += draw(st.sampled_from([["-n", draw(NUMBERS)], ["--alphabet", "a,b,c"], ["--alphabet", ","]]))
+        argv += draw(st.sampled_from([[], ["--count-only"]]))
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+    argv += draw(st.sampled_from([[], ["--engine", "lcdl"], ["--engine", "oracle"]]))
+    argv += draw(st.sampled_from([[], [], ["--limit", draw(NUMBERS)], ["--limit", "1000000"]]))
+    return argv
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "graph.txt"
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=graph_texts(), argv=argvs())
+    def test_main_answers_or_fails_cleanly(self, graph_file, text, argv):
+        graph_file.write_text(text)
+        code, out, _ = run_cli(*(str(graph_file) if a == "GRAPH" else a for a in argv))
+        assert code in (0, 2, 3)
+        assert code == 0 or out == ""

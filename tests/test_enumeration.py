@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from latinpaths.enumeration import (
     encode_path,
     hamiltonian_circuits,
     hamiltonian_paths,
+    held_karp,
     latin_powers,
     max_length_elementary,
     optimal_hamiltonian,
@@ -280,6 +283,108 @@ class TestOptimalHamiltonian:
         assert best[1] == 2
 
 
+# Tie-heavy cost sets: many Hamiltonian paths share a cost, and with the
+# decimals 0.1 + 0.2 ties 0.3 exactly but not in float sums.
+TIE_COSTS = ((1.0, 2.0, 3.0, 4.0), (-0.5, 0.0, 0.1, 0.2, 0.3, 1.5))
+
+
+def assert_held_karp_matches_selection(g):
+    """held_karp equals enumerate-then-select on g, both kinds and
+    objectives, with no end given, each start, each end and three pairs."""
+    powers = latin_powers(g)
+    v = g.vertices
+    shapes = [(None, None), (v[0], v[-1]), (v[-1], v[0]), (v[0], v[0])]
+    shapes += [(x, None) for x in v] + [(None, x) for x in v]
+    for kind, enumerate_kind in (("path", hamiltonian_paths), ("circuit", hamiltonian_circuits)):
+        if kind == "path" and g.n < 2:
+            continue
+        candidates = enumerate_kind(g, powers)
+        for objective in ("min", "max"):
+            for start, end in shapes:
+                expected = optimal_hamiltonian(g, candidates, objective, start, end)
+                got = held_karp(g, kind, objective, start, end)
+                assert got == expected, (g, kind, objective, start, end)
+
+
+class TestHeldKarp:
+    def test_corpus(self, corpus):
+        rng = random.Random(1962)
+        for g in corpus:
+            for values in TIE_COSTS:
+                costs = tuple(rng.choice(values) for _ in g.arcs)
+                assert_held_karp_matches_selection(DirectedGraph(g.vertices, g.arcs, costs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 7), st.sampled_from(TIE_COSTS)).flatmap(
+            lambda shape: st.lists(
+                st.tuples(
+                    st.integers(0, shape[0] - 1),
+                    st.integers(0, shape[0] - 1),
+                    st.sampled_from(shape[1]),
+                ),
+                unique_by=lambda arc: arc[:2],
+            ).map(lambda arcs: (shape[0], arcs))
+        )
+    )
+    def test_random_graphs(self, shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        assert_held_karp_matches_selection(DirectedGraph(
+            names,
+            tuple((names[u], names[v]) for u, v, _ in arcs),
+            tuple(c for _, _, c in arcs),
+        ))
+
+    def test_exact_tie_goes_to_the_canonically_first(self):
+        # a-b-c costs 0.1 + 0.2, a-c-b costs 0.3 + 0: equal in decimals, not
+        # in floats; the printed cost stays the float sum
+        g = DirectedGraph(
+            ("a", "b", "c"),
+            (("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")),
+            (0.1, 0.2, 0.3, 0.0),
+        )
+        for objective in ("min", "max"):
+            best = held_karp(g, "path", objective, start="a")
+            assert best == (VertexPath(("a", "b", "c")), 0.1 + 0.2)
+            candidates = hamiltonian_paths(g, latin_powers(g))
+            assert optimal_hamiltonian(g, candidates, objective, start="a") == best
+
+    def test_circuits_of_one_and_two_vertices(self):
+        loop = DirectedGraph(("a",), (("a", "a"),), (2.5,))
+        assert held_karp(loop, "circuit") == (VertexPath(("a", "a")), 2.5)
+        assert held_karp(DirectedGraph(("a",), (), ()), "circuit") is None
+        pair = DirectedGraph(("a", "b"), (("a", "b"), ("b", "a"), ("b", "b")), (1.0, 2.0, 0.5))
+        assert held_karp(pair, "circuit", "max", end="b") == (VertexPath(("b", "a", "b")), 3.0)
+        assert held_karp(pair, "circuit", start="a", end="b") is None
+
+    def test_unknown_vertex(self, five_vertex_graph):
+        g = five_vertex_graph
+        candidates = hamiltonian_paths(g, latin_powers(g))
+        for ends in ({"start": "zz"}, {"end": "zz"}):
+            with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+                held_karp(g, "path", **ends)
+            with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+                optimal_hamiltonian(g, candidates, **ends)
+
+    def test_requires_costs(self, four_vertex_graph):
+        with pytest.raises(ValueError, match="needs arc costs"):
+            held_karp(four_vertex_graph, "path")
+
+    def test_word_limit_counts_entries(self):
+        # weighted K12: power k holds one entry per (first vertex, set of k
+        # further vertices), 12 * C(11, k), at most 12 * 462 = 5544 for k = 5
+        g = complete_digraph(12)
+        g = DirectedGraph(g.vertices, g.arcs, tuple(float(a % 4 + 1) for a in range(len(g.arcs))))
+        assert held_karp(g, "path", word_limit=5544) is not None
+        with pytest.raises(WordLimitError) as exc:
+            held_karp(g, "path", word_limit=5543)
+        assert str(exc.value) == "latin power 5 holds 5544 words, over the limit of 5543"
+        with pytest.raises(WordLimitError) as exc:
+            held_karp(g, "path", word_limit=131)
+        assert exc.value.k == 1
+
+
 class TestRoundTrip:
     def test_decoded_paths_reencode(self, five_vertex_graph, powers5):
         g = five_vertex_graph
@@ -358,8 +463,13 @@ class TestKernelAgainstReference:
 
 class TestGuards:
     def test_word_limit(self, five_vertex_graph):
+        # power 1 holds one word per arc, 12 here; it is guarded too
         with pytest.raises(WordLimitError) as exc:
             latin_powers(five_vertex_graph, word_limit=3)
+        assert exc.value.k == 1
+        assert str(exc.value) == "latin power 1 holds 12 words, over the limit of 3"
+        with pytest.raises(WordLimitError) as exc:
+            latin_powers(five_vertex_graph, word_limit=12)
         assert exc.value.k == 2
 
     def test_word_limit_counts_the_whole_power(self):

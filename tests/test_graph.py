@@ -10,6 +10,7 @@ from latinpaths.graph import (
     PathError,
     VertexPath,
     adjacency_matrix,
+    exact_costs,
     latin_matrix,
     parse_graph,
     path_cost,
@@ -246,6 +247,29 @@ class TestPathCost:
             path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "1")))
         with pytest.raises(PathError):
             five_vertex_graph.cost_of("2", "3")
+
+
+class TestExactCosts:
+    def test_common_power_of_ten_denominator(self):
+        costs = (0.1, 0.2, 0.3, -0.5, 2.0, 1e-05, 1e22, 0.0)
+        g = DirectedGraph(
+            tuple("abcdefghi"), tuple(zip("abcdefgh", "bcdefghi")), costs
+        )
+        assert exact_costs(g) == (
+            10**4, 2 * 10**4, 3 * 10**4, -5 * 10**4, 2 * 10**5, 1, 10**27, 0,
+        )
+        tenth, fifth, three_tenths = exact_costs(g)[:3]
+        assert tenth + fifth == three_tenths and 0.1 + 0.2 != 0.3
+
+    def test_parsed_text(self, five_vertex_graph):
+        # repr(4.0) is '4.0': one decimal place
+        assert exact_costs(five_vertex_graph) == tuple(10 * int(c) for c in five_vertex_graph.costs)
+        g = parse_graph("vertices: a b\na b 2.50\nb a -1e-3\n")
+        assert exact_costs(g) == (2500, -1)
+
+    def test_missing_costs(self, four_vertex_graph):
+        with pytest.raises(ValueError):
+            exact_costs(four_vertex_graph)
 
 
 class TestVertexPath:
