@@ -14,9 +14,8 @@ def _successors(graph: DirectedGraph) -> dict[str, list[str]]:
     succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for u, v in graph.arcs:
         succ[u].append(v)
-    index = {v: i for i, v in enumerate(graph.vertices)}
     for u in succ:
-        succ[u].sort(key=index.__getitem__)
+        succ[u].sort(key=graph.vertex_index.__getitem__)
     return succ
 
 
@@ -118,14 +117,16 @@ def enumerate_all_elementary(
 
 def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[VertexPath]:
     """Every Hamiltonian path (kind "path", arc-length n-1) or circuit (kind
-    "circuit", arc-length n) in canonical order, from one sweep of
-    enumerate_all_elementary."""
-    if kind == "path" and graph.n < 2:
+    "circuit", arc-length n) in canonical order: paths by a walk from each
+    source to depth n-1, circuits closed at n by dfs_elementary_circuits
+    from each start."""
+    n = graph.n
+    if kind == "circuit":
+        # circuits from v_i come before those from v_{i+1} in canonical order
+        return [p for s in graph.vertices for p in dfs_elementary_circuits(graph, s, n).items]
+    if n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
-    circuit = kind == "circuit"
-    k = graph.n if circuit else graph.n - 1
-    found = []
-    for (source, target, length), seqs in enumerate_all_elementary(graph).items():
-        if length == k and (source == target) == circuit:
-            found.extend(seqs)
-    return [VertexPath(s) for s in sorted(found, key=graph.order_key)]
+    found = [
+        p for s in graph.vertices for p in _simple_paths_from(graph, s, n - 1) if len(p) == n
+    ]
+    return [VertexPath(p) for p in sorted(found, key=graph.order_key)]

@@ -12,9 +12,11 @@ prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
 (i, m); when j = i the prepended word closes a circuit.  Words are held as
 plain (mask, indices) pairs, with no word or language objects per
 intermediate.  The generic product over the semiring of distinguished
-languages stays as the executable reference: `reference_powers` computes
-it, and `LatinPowerSequence.power` rebuilds a kernel power in that
-representation, on demand, for comparison and for the `matrix` command.
+languages stays as the executable reference: `latin_matrix` builds L from
+the arcs, `reference_powers` computes its left powers, and
+`LatinPowerSequence.power` rebuilds a kernel power in that representation,
+on demand, for comparison and for the `matrix` command.  The adjacency
+matrix over the naturals is the reference for `count_paths`.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per (first vertex, vertex
@@ -28,17 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    DirectedGraph,
-    EnumerationResult,
-    VertexPath,
-    adjacency_matrix,
-    exact_costs,
-    latin_matrix,
-    path_cost,
-)
+from .graph import DirectedGraph, EnumerationResult, VertexPath, exact_costs, path_cost
 from .languages import DistinguishedLanguage
-from .semiring import SemiringMatrix, language_semiring, mat_mul, mat_power_left
+from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
 from .words import Alphabet, DistinguishedWord, WordKind
 
 DEFAULT_WORD_LIMIT = 1_000_000
@@ -99,27 +93,13 @@ class LatinPowerSequence:
         `mat_power_left(latin_matrix(graph), k)`.  Built on each call."""
         if not 1 <= k <= len(self.powers):
             raise ValueError(f"power {k} out of range 1..{len(self.powers)}")
-        alphabet = Alphabet(self.vertices)
-        kinds = (WordKind.SIMPLE, WordKind.SIMPLE_CYCLIC)
-        rows = tuple(
-            tuple(
-                DistinguishedLanguage(
-                    alphabet,
-                    frozenset(
-                        DistinguishedWord(indices, kinds[i == j], mask)
-                        for mask, indices in entry.words
-                    ),
-                )
-                for j, entry in enumerate(row)
-            )
-            for i, row in enumerate(self.powers[k - 1].rows)
-        )
-        return SemiringMatrix(language_semiring(alphabet), rows)
+        rows = self.powers[k - 1].rows
+        return _language_matrix(self.vertices, ([entry.words for entry in row] for row in rows))
 
 
 def _successors(graph: DirectedGraph) -> list[list[int]]:
     """Successor indices of each vertex, ascending, self-loops included."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = graph.vertex_index
     succ: list[list[int]] = [[] for _ in graph.vertices]
     for u, v in graph.arcs:
         succ[index[u]].append(index[v])
@@ -178,6 +158,50 @@ def latin_powers(
                     f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
                 )
     return LatinPowerSequence(graph.vertices, tuple(powers))
+
+
+def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
+    """Kernel words as a matrix of distinguished languages: rows[i][j]
+    holds the (mask, indices) words of entry (i, j), simple words off the
+    diagonal and simple cyclic words on it."""
+    alphabet = Alphabet(vertices)
+    kinds = (WordKind.SIMPLE, WordKind.SIMPLE_CYCLIC)
+    return SemiringMatrix(
+        language_semiring(alphabet),
+        tuple(
+            tuple(
+                DistinguishedLanguage(
+                    alphabet,
+                    frozenset(
+                        DistinguishedWord(indices, kinds[i == j], mask)
+                        for mask, indices in words
+                    ),
+                )
+                for j, words in enumerate(row)
+            )
+            for i, row in enumerate(rows)
+        ),
+    )
+
+
+def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
+    arcs = graph.arc_set()
+    rows = tuple(
+        tuple(1 if (u, v) in arcs else 0 for v in graph.vertices)
+        for u in graph.vertices
+    )
+    return SemiringMatrix(NATURALS, rows)
+
+
+def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
+    """Entry (i, j) is the singleton language {v_i v_j} when the arc exists;
+    a self-loop gives the two-symbol cyclic word v_i v_i."""
+    index = graph.vertex_index
+    rows: list[list[list[Word]]] = [[[] for _ in graph.vertices] for _ in graph.vertices]
+    for u, v in graph.arcs:
+        i, j = index[u], index[v]
+        rows[i][j].append(((1 << i) | (1 << j), (i, j)))
+    return _language_matrix(graph.vertices, rows)
 
 
 def reference_powers(graph: DirectedGraph) -> list[SemiringMatrix]:
@@ -371,7 +395,7 @@ def held_karp(
         if s is not None and t is not None and s != t:
             return None
         s = t = s if s is not None else t if t is not None else 0
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = graph.vertex_index
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (i, signed cost of (i, m))
     for (u, v), c in zip(graph.arcs, exact_costs(graph)):
         into[index[v]].append((index[u], sign * c))

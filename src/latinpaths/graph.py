@@ -1,4 +1,4 @@
-"""Directed graphs with optional arc costs, and their two companion matrices.
+"""Directed graphs with optional arc costs, their text format and path costs.
 
 The edge-list text format: comment lines start with '#'; the first
 non-comment line is "vertices: v1 v2 ... vn"; every following line is
@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-
-from .semiring import NATURALS, SemiringMatrix, language_semiring
-from .words import Alphabet, DistinguishedWord, WordKind
 
 
 class GraphParseError(ValueError):
@@ -32,22 +29,25 @@ class DirectedGraph:
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
     costs: tuple[float, ...] | None = None  # parallel to arcs
-    # arc -> its position in arcs (and costs), built once per graph
+    # vertex name -> its index in vertices, and arc -> its position in arcs
+    # (and costs), both built once per graph
+    vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _arc_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        if len(vertex_index) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
-        known = set(self.vertices)
         arc_index = {}
         for a, (u, v) in enumerate(self.arcs):
-            if u not in known or v not in known:
+            if u not in vertex_index or v not in vertex_index:
                 raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
             if (u, v) in arc_index:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             arc_index[u, v] = a
         if self.costs is not None and len(self.costs) != len(self.arcs):
             raise ValueError("every arc needs exactly one cost")
+        object.__setattr__(self, "vertex_index", vertex_index)
         object.__setattr__(self, "_arc_index", arc_index)
 
     @property
@@ -56,8 +56,8 @@ class DirectedGraph:
 
     def index(self, name: str) -> int:
         try:
-            return self.vertices.index(name)
-        except ValueError:
+            return self.vertex_index[name]
+        except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
     def order_key(self, vertices: tuple[str, ...]) -> tuple[int, ...]:
@@ -199,37 +199,6 @@ def serialize_graph(graph: DirectedGraph) -> str:
         else:
             lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    arcs = graph.arc_set()
-    rows = tuple(
-        tuple(1 if (u, v) in arcs else 0 for v in graph.vertices)
-        for u in graph.vertices
-    )
-    return SemiringMatrix(NATURALS, rows)
-
-
-def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    """Entry (i, j) is the singleton language {v_i v_j} when the arc exists;
-    a self-loop gives the two-symbol cyclic word v_i v_i."""
-    from .languages import DistinguishedLanguage
-
-    alphabet = Alphabet(graph.vertices)
-    sr = language_semiring(alphabet)
-    arcs = graph.arc_set()
-    rows = []
-    for i, u in enumerate(graph.vertices):
-        row = []
-        for j, v in enumerate(graph.vertices):
-            if (u, v) in arcs:
-                kind = WordKind.SIMPLE_CYCLIC if i == j else WordKind.SIMPLE
-                word = DistinguishedWord((i, j), kind, (1 << i) | (1 << j))
-                row.append(DistinguishedLanguage(alphabet, frozenset((word,))))
-            else:
-                row.append(sr.zero)
-        rows.append(tuple(row))
-    return SemiringMatrix(sr, tuple(rows))
 
 
 def exact_costs(graph: DirectedGraph) -> tuple[int, ...]:

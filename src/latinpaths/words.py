@@ -9,7 +9,6 @@ collapses to the empty word.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
@@ -162,9 +161,10 @@ def sigma_count(n: int) -> int:
     """Number of distinguished words (including the empty word) over n symbols."""
     if n < 1:
         raise ValueError("alphabet size must be positive")
-    total = 1 + 2 * math.factorial(n)
-    for k in range(1, n):
-        total += 2 * (math.factorial(n) // math.factorial(n - k))
+    total, falling = 1, 1
+    for k in range(1, n + 1):
+        falling *= n - k + 1  # n! / (n-k)!: the simple words of length k
+        total += 2 * falling  # and as many simple cyclic ones
     return total
 
 

@@ -8,6 +8,7 @@ from latinpaths.bruteforce import (
     enumerate_all_elementary,
 )
 from latinpaths.enumeration import (
+    adjacency_matrix,
     count_paths,
     hamiltonian_circuits,
     hamiltonian_paths,
@@ -15,7 +16,6 @@ from latinpaths.enumeration import (
 )
 from latinpaths.graph import DirectedGraph, validate_path
 from latinpaths.semiring import mat_power_left
-from latinpaths.graph import adjacency_matrix
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from latinpaths.enumeration import (
     WordLimitError,
+    adjacency_matrix,
     count_paths,
     count_paths_reference,
     decode_word,
@@ -15,12 +16,13 @@ from latinpaths.enumeration import (
     hamiltonian_circuits,
     hamiltonian_paths,
     held_karp,
+    latin_matrix,
     latin_powers,
     max_length_elementary,
     optimal_hamiltonian,
     reference_powers,
 )
-from latinpaths.graph import DirectedGraph, VertexPath, adjacency_matrix, path_cost
+from latinpaths.graph import DirectedGraph, VertexPath, path_cost
 from latinpaths.semiring import mat_mul
 
 
@@ -63,8 +65,6 @@ class TestPowersFourVertex:
         assert all(e.is_zero for row in powers4.power(4).rows for e in row)
 
     def test_power_beyond_n_is_zero(self, four_vertex_graph, powers4):
-        from latinpaths.graph import latin_matrix
-
         beyond = mat_mul(latin_matrix(four_vertex_graph), powers4.power(4))
         assert all(e.is_zero for row in beyond.rows for e in row)
 
@@ -400,7 +400,6 @@ class TestRoundTrip:
 
 class TestPowerCache:
     def test_matches_generic_left_powers(self, five_vertex_graph, powers5):
-        from latinpaths.graph import latin_matrix
         from latinpaths.semiring import mat_power_left
 
         base = latin_matrix(five_vertex_graph)

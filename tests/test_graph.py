@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinpaths.enumeration import adjacency_matrix, latin_matrix
 from latinpaths.graph import (
     DirectedGraph,
     GraphParseError,
     PathError,
     VertexPath,
-    adjacency_matrix,
     exact_costs,
-    latin_matrix,
     parse_graph,
     path_cost,
     serialize_graph,

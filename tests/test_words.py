@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -125,6 +126,8 @@ class TestSigmaCount:
         assert sigma_count(1) == 3
         assert sigma_count(2) == 9
         assert sigma_count(4) == 129
+        for n in range(1, 301):
+            assert sigma_count(n) == 1 + 2 * sum(math.perm(n, k) for k in range(1, n + 1))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
