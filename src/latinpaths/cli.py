@@ -126,27 +126,42 @@ def _query(command: str, fields, args) -> dict:
     return {"command": command, **{key: getattr(args, name) for key, name in fields}}
 
 
-def _item_json(graph: DirectedGraph, path: VertexPath) -> dict:
-    cost = path_cost(graph, path) if graph.costs is not None else None
-    return {"vertices": list(path.vertices), "length": path.length, "cost": cost}
-
-
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
+    """The answer of an enumeration command.  JSON is written as text in the
+    layout of `json.dumps(payload, indent=2)`, byte for byte, with names
+    encoded once per vertex; `path_cost` prices each item once."""
+    costed = graph.costs is not None
     if fmt == "json":
-        return _json({
-            "query": query,
-            "items": [_item_json(graph, p) for p in items],
-            "count": len(items),
-        })
+        quoted = {
+            v: "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
+        }.__getitem__
+        parts = []
+        for p in items:
+            cost = repr(path_cost(graph, p)) if costed else "null"
+            parts.append(
+                '    {\n      "vertices": [\n'
+                + ",\n".join(map(quoted, p.vertices))
+                + '\n      ],\n      "length": '
+                + str(p.length)
+                + ',\n      "cost": '
+                + cost
+                + "\n    }"
+            )
+        body = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+        head = json.dumps(query, indent=2).replace("\n", "\n  ")
+        return (
+            '{\n  "query": ' + head + ',\n  "items": ' + body
+            + ',\n  "count": ' + str(len(parts)) + "\n}\n"
+        )
     if not items:
         return none_text
-    lines = []
-    for p in items:
-        if graph.costs is not None:
-            lines.append(f"{p.render()} cost={format_cost(path_cost(graph, p))}")
-        else:
-            lines.append(p.render())
-    return "".join(line + "\n" for line in lines)
+    if costed:
+        lines = [
+            "-".join(p.vertices) + " cost=" + format_cost(path_cost(graph, p)) for p in items
+        ]
+    else:
+        lines = ["-".join(p.vertices) for p in items]
+    return "\n".join(lines) + "\n"
 
 
 def _dot_quote(text: str) -> str:

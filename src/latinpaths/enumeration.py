@@ -2,8 +2,9 @@
 
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
-elementary circuits).  All n powers are computed once and cached; queries
-decode words straight off the cached entries.
+elementary circuits).  `latin_powers` computes all n powers in one call
+and returns them; each query decodes words straight off the powers it is
+given.  Nothing is cached across calls: every CLI query builds its own.
 
 `latin_powers` is a kernel specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.

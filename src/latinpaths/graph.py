@@ -29,10 +29,13 @@ class DirectedGraph:
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
     costs: tuple[float, ...] | None = None  # parallel to arcs
-    # vertex name -> its index in vertices, and arc -> its position in arcs
-    # (and costs), both built once per graph
+    # vertex name -> its index in vertices, arc -> its position in arcs, and
+    # arc -> its cost (None without costs), all built once per graph
     vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _arc_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _arc_cost: dict[tuple[str, str], float] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         vertex_index = {v: i for i, v in enumerate(self.vertices)}
@@ -49,6 +52,9 @@ class DirectedGraph:
             raise ValueError("every arc needs exactly one cost")
         object.__setattr__(self, "vertex_index", vertex_index)
         object.__setattr__(self, "_arc_index", arc_index)
+        object.__setattr__(
+            self, "_arc_cost", None if self.costs is None else dict(zip(self.arcs, self.costs))
+        )
 
     @property
     def n(self) -> int:
@@ -216,7 +222,19 @@ def exact_costs(graph: DirectedGraph) -> tuple[int, ...]:
 
 def path_cost(graph: DirectedGraph, path: VertexPath) -> float:
     """Sum of the arc costs along the path, left to right: the printed
-    cost.  Comparisons between paths use `exact_costs`."""
-    if graph.costs is None:
+    cost.  Comparisons between paths use `exact_costs`.
+
+    The sum is accumulated explicitly: from Python 3.12 on, `sum()` of
+    floats is compensated and can round differently."""
+    arc_cost = graph._arc_cost
+    if arc_cost is None:
         raise ValueError("graph has no arc costs")
-    return sum([graph.cost_of(u, v) for u, v in zip(path.vertices, path.vertices[1:])])
+    vertices = path.vertices
+    total = 0
+    try:
+        for arc in zip(vertices, vertices[1:]):
+            total += arc_cost[arc]
+    except KeyError:
+        u, v = arc
+        raise PathError(f"({u}, {v}) is not an arc of the graph") from None
+    return total

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinpaths.cli import main
+from latinpaths.cli import _emit_result, main
+from latinpaths.graph import DirectedGraph, VertexPath, format_cost, path_cost
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -410,6 +411,92 @@ class TestJsonContract:
                 _, lcdl_out, _ = run_cli(*query, "--format", fmt, "--engine", "lcdl")
                 _, oracle_out, _ = run_cli(*query, "--format", fmt, "--engine", "oracle")
                 assert lcdl_out == oracle_out, (query, fmt)
+
+
+def _item_json(graph, path):
+    """One item of the enumeration schema, as a dict for `json.dumps`."""
+    cost = path_cost(graph, path) if graph.costs is not None else None
+    return {"vertices": list(path.vertices), "length": path.length, "cost": cost}
+
+
+# Vertex names the parser would refuse or never produce, and costs whose
+# JSON text is easy to get wrong; sums of 0.1 and 0.2 do not round-trip.
+AWKWARD_NAMES = st.text(
+    alphabet=st.sampled_from(
+        ["a", "é", "中", "😀", '"', "\\", "\x00", "\x1f", "\n", "\t", " ", "\u2028", "#", "-"]
+    ),
+    min_size=1,
+    max_size=4,
+)
+AWKWARD_COSTS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, -0.0, 0.0, 1e16, 1e-07, 1e300, -1e300, -2.5, 4.0, 5e-324]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@st.composite
+def emitted_answers(draw):
+    """A graph built directly, walks along its arcs, and a query head."""
+    names = draw(st.lists(AWKWARD_NAMES, min_size=1, max_size=5, unique=True))
+    pairs = [(u, v) for u in names for v in names]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    costs = None
+    if draw(st.booleans()):
+        costs = tuple(draw(AWKWARD_COSTS) for _ in arcs)
+    graph = DirectedGraph(tuple(names), tuple(arcs), costs)
+    items = []
+    for _ in range(draw(st.integers(0, 4)) if arcs else 0):
+        walk = list(draw(st.sampled_from(arcs)))
+        for _ in range(draw(st.integers(0, 4))):
+            successors = [v for u, v in arcs if u == walk[-1]]
+            if not successors:
+                break
+            walk.append(draw(st.sampled_from(successors)))
+        items.append(VertexPath(tuple(walk)))
+    name_or_none = st.one_of(st.none(), st.sampled_from(names))
+    query = draw(st.sampled_from([
+        {"command": "paths", "source": draw(AWKWARD_NAMES), "target": names[0],
+         "length": draw(st.integers(-3, 9))},
+        {"command": "hamiltonian", "kind": "circuit"},
+        {"command": "optimal", "kind": "path", "objective": "max",
+         "from": draw(name_or_none), "to": draw(name_or_none)},
+    ]))
+    return graph, query, items
+
+
+class TestEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(answer=emitted_answers())
+    def test_json_is_the_indented_dump(self, answer):
+        graph, query, items = answer
+        payload = {
+            "query": query,
+            "items": [_item_json(graph, p) for p in items],
+            "count": len(items),
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert _emit_result(graph, query, items, "json", "") == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(answer=emitted_answers())
+    def test_text_lines(self, answer):
+        graph, query, items = answer
+        if graph.costs is not None:
+            lines = [f"{p.render()} cost={format_cost(path_cost(graph, p))}" for p in items]
+        else:
+            lines = [p.render() for p in items]
+        expected = "".join(line + "\n" for line in lines) if items else "none\n"
+        assert _emit_result(graph, query, items, "text", "none\n") == expected
+
+    def test_cost_is_the_left_to_right_sum(self, tmp_path):
+        # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
+        path = tmp_path / "chain.txt"
+        path.write_text("vertices: a b c d\na b 0.1\nb c 0.2\nc d 0.3\n")
+        code, out, _ = run_cli("hamiltonian", str(path), "--kind", "path")
+        assert (code, out) == (0, "a-b-c-d cost=0.6000000000000001\n")
+        for engine in ("lcdl", "oracle"):
+            payload = run_json("optimal", str(path), "--kind", "path", "--engine", engine)
+            assert payload["items"][0]["cost"].hex() == (0.6000000000000001).hex()
 
 
 # Argument vocabulary of the fuzz test: known and unknown vertex names,

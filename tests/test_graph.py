@@ -1,4 +1,6 @@
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,44 @@ class TestPathCost:
             path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "1")))
         with pytest.raises(PathError):
             five_vertex_graph.cost_of("2", "3")
+
+    def test_left_to_right_on_every_python(self):
+        # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
+        g = DirectedGraph(tuple("abcd"), (("a", "b"), ("b", "c"), ("c", "d")), (0.1, 0.2, 0.3))
+        assert path_cost(g, VertexPath(tuple("abcd"))).hex() == (0.6000000000000001).hex()
+
+    def test_matches_the_cost_of_sum_on_the_corpus(self, corpus):
+        rng = random.Random(20260)
+        awkward = (0.1, 0.2, 0.3, -0.0, 0.0, 1e16, 1e-07, -2.5, 1e300, -1e300, 3.0)
+        for plain in corpus:
+            with pytest.raises(ValueError):
+                path_cost(plain, VertexPath(plain.vertices[:2]))
+            if not plain.arcs:
+                continue
+            costs = tuple(
+                rng.choice(awkward) if rng.random() < 0.5 else rng.uniform(-10, 10)
+                for _ in plain.arcs
+            )
+            g = DirectedGraph(plain.vertices, plain.arcs, costs)
+            successors = {v: [w for u, w in g.arcs if u == v] for v in g.vertices}
+            for _ in range(20):
+                walk = [rng.choice(g.arcs)[0]]
+                while len(walk) < 2 or (successors[walk[-1]] and rng.random() < 0.8):
+                    walk.append(rng.choice(successors[walk[-1]]))
+                path = VertexPath(tuple(walk))
+                terms = [g.cost_of(u, v) for u, v in zip(walk, walk[1:])]
+                expected = 0
+                for term in terms:
+                    expected = expected + term
+                assert path_cost(g, path).hex() == float(expected).hex()
+                if sys.version_info < (3, 12):  # the former sum(), uncompensated there
+                    assert path_cost(g, path).hex() == float(sum(terms)).hex()
+            missing = next(
+                ((u, v) for u in g.vertices for v in g.vertices if (u, v) not in g.arcs), None
+            )
+            if missing is not None:
+                with pytest.raises(PathError):
+                    path_cost(g, VertexPath(missing))
 
 
 class TestExactCosts:
