@@ -11,12 +11,9 @@ from .graph import DirectedGraph, EnumerationResult, VertexPath
 
 
 def _successors(graph: DirectedGraph) -> dict[str, list[str]]:
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for u, v in graph.arcs:
-        succ[u].append(v)
-    for u in succ:
-        succ[u].sort(key=graph.vertex_index.__getitem__)
-    return succ
+    """The successors of each vertex by name, in declaration order."""
+    names = graph.vertices
+    return {u: [names[m] for m in succ] for u, succ in zip(names, graph.successors)}
 
 
 def _simple_paths_from(graph, source, max_len):
@@ -64,7 +61,7 @@ def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> Enumera
     graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
-    arcs = graph.arc_set()
+    arcs = graph.arc_cost
     hits: list[tuple[str, ...]] = []
     if k == 1:
         if (start, start) in arcs:
@@ -102,7 +99,7 @@ def enumerate_all_elementary(
 ) -> dict[tuple[str, str, int], set[tuple[str, ...]]]:
     """Every elementary path and anchored circuit in one sweep, keyed by
     (source, target, arc-length).  One DFS per source vertex."""
-    arcs = graph.arc_set()
+    arcs = graph.arc_cost
     out: dict[tuple[str, str, int], set[tuple[str, ...]]] = {}
     for source in graph.vertices:
         if (source, source) in arcs:

@@ -16,8 +16,9 @@ intermediate.  The generic product over the semiring of distinguished
 languages stays as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and
 `LatinPowerSequence.power` rebuilds a kernel power in that representation,
-on demand, for comparison and for the `matrix` command.  The adjacency
-matrix over the naturals is the reference for `count_paths`.
+on demand, for comparison; the `matrix` command decodes a power entry by
+entry, as the other queries do.  The adjacency matrix over the naturals is
+the reference for `count_paths`.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per (first vertex, vertex
@@ -98,17 +99,6 @@ class LatinPowerSequence:
         return _language_matrix(self.vertices, ([entry.words for entry in row] for row in rows))
 
 
-def _successors(graph: DirectedGraph) -> list[list[int]]:
-    """Successor indices of each vertex, ascending, self-loops included."""
-    index = graph.vertex_index
-    succ: list[list[int]] = [[] for _ in graph.vertices]
-    for u, v in graph.arcs:
-        succ[index[u]].append(index[v])
-    for targets in succ:
-        targets.sort()
-    return succ
-
-
 def _word_matrix(rows: list[list[list[Word]]]) -> WordMatrix:
     return WordMatrix(tuple(tuple(PowerEntry(tuple(words)) for words in row) for row in rows))
 
@@ -122,7 +112,7 @@ def latin_powers(
     n = graph.n
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
         raise WordLimitError(1, len(graph.arcs), word_limit)
-    succ = _successors(graph)
+    succ = graph.successors
     prev: list[list[list[Word]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for m in succ[i]:
@@ -186,7 +176,7 @@ def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
 
 
 def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    arcs = graph.arc_set()
+    arcs = graph.arc_cost
     rows = tuple(
         tuple(1 if (u, v) in arcs else 0 for v in graph.vertices)
         for u in graph.vertices
@@ -230,9 +220,9 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
     """Decode kernel words in canonical order: lexicographic by index
     sequence."""
-    names = graph.vertices
+    name = graph.vertices.__getitem__
     return [
-        VertexPath(tuple(names[i] for i in indices))
+        VertexPath(tuple(map(name, indices)))
         for indices in sorted(indices for _, indices in words)
     ]
 
@@ -308,7 +298,7 @@ def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     if k < 1:
         raise ValueError("path length must be at least 1")
     i, j = graph.index(source), graph.index(target)
-    succ = _successors(graph)
+    succ = graph.successors
     column = [int(j in targets) for targets in succ]
     for _ in range(k - 1):
         column = [sum(column[m] for m in targets) for targets in succ]

@@ -29,11 +29,12 @@ class DirectedGraph:
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
     costs: tuple[float, ...] | None = None  # parallel to arcs
-    # vertex name -> its index in vertices, arc -> its position in arcs, and
-    # arc -> its cost (None without costs), all built once per graph
+    # Built once per graph: vertex name -> its index in vertices; per vertex,
+    # its successor indices, ascending, self-loops included; and arc -> its
+    # cost, None on a graph without costs.
     vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _arc_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _arc_cost: dict[tuple[str, str], float] | None = field(
+    successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    arc_cost: dict[tuple[str, str], float | None] = field(
         init=False, repr=False, compare=False
     )
 
@@ -41,20 +42,20 @@ class DirectedGraph:
         vertex_index = {v: i for i, v in enumerate(self.vertices)}
         if len(vertex_index) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
-        arc_index = {}
-        for a, (u, v) in enumerate(self.arcs):
-            if u not in vertex_index or v not in vertex_index:
-                raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
-            if (u, v) in arc_index:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            arc_index[u, v] = a
         if self.costs is not None and len(self.costs) != len(self.arcs):
             raise ValueError("every arc needs exactly one cost")
+        successors: list[list[int]] = [[] for _ in self.vertices]
+        arc_cost = {}
+        for (u, v), cost in zip(self.arcs, self.costs or (None,) * len(self.arcs)):
+            if u not in vertex_index or v not in vertex_index:
+                raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
+            if (u, v) in arc_cost:
+                raise ValueError(f"duplicate arc ({u}, {v})")
+            arc_cost[u, v] = cost
+            successors[vertex_index[u]].append(vertex_index[v])
         object.__setattr__(self, "vertex_index", vertex_index)
-        object.__setattr__(self, "_arc_index", arc_index)
-        object.__setattr__(
-            self, "_arc_cost", None if self.costs is None else dict(zip(self.arcs, self.costs))
-        )
+        object.__setattr__(self, "successors", tuple(tuple(sorted(s)) for s in successors))
+        object.__setattr__(self, "arc_cost", arc_cost)
 
     @property
     def n(self) -> int:
@@ -70,14 +71,11 @@ class DirectedGraph:
         """Sort key of canonical order: lexicographic by declaration index."""
         return tuple(self.index(v) for v in vertices)
 
-    def arc_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.arcs)
-
     def cost_of(self, u: str, v: str) -> float:
         if self.costs is None:
             raise ValueError("graph has no arc costs")
         try:
-            return self.costs[self._arc_index[u, v]]
+            return self.arc_cost[u, v]
         except KeyError:
             raise PathError(f"({u}, {v}) is not an arc of the graph") from None
 
@@ -126,7 +124,7 @@ def format_cost(cost: float) -> str:
 
 def validate_path(graph: DirectedGraph, path: VertexPath):
     for u, v in zip(path.vertices, path.vertices[1:]):
-        if (u, v) not in graph._arc_index:
+        if (u, v) not in graph.arc_cost:
             raise PathError(f"({u}, {v}) is not an arc of the graph")
 
 
@@ -136,7 +134,10 @@ def parse_graph(text: str) -> DirectedGraph:
     costs: list[float | None] = []
     arc_lines: dict[tuple[str, str], int] = {}
     magnitude = 0.0  # sum of |cost|, a bound on every path cost
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n", "\r\n" or "\r" only: splitlines() would also
+    # break a comment at a form feed, NEL or U+2028.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,13 +198,8 @@ def parse_graph(text: str) -> DirectedGraph:
 def serialize_graph(graph: DirectedGraph) -> str:
     """Emit the edge-list format; arcs sorted by (source index, target index)."""
     lines = ["vertices: " + " ".join(graph.vertices)]
-    order = sorted(range(len(graph.arcs)), key=lambda a: graph.order_key(graph.arcs[a]))
-    for a in order:
-        u, v = graph.arcs[a]
-        if graph.costs is not None:
-            lines.append(f"{u} {v} {format_cost(graph.costs[a])}")
-        else:
-            lines.append(f"{u} {v}")
+    for (u, v), cost in sorted(graph.arc_cost.items(), key=lambda item: graph.order_key(item[0])):
+        lines.append(f"{u} {v}" if cost is None else f"{u} {v} {format_cost(cost)}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,9 +222,9 @@ def path_cost(graph: DirectedGraph, path: VertexPath) -> float:
 
     The sum is accumulated explicitly: from Python 3.12 on, `sum()` of
     floats is compensated and can round differently."""
-    arc_cost = graph._arc_cost
-    if arc_cost is None:
+    if graph.costs is None:
         raise ValueError("graph has no arc costs")
+    arc_cost = graph.arc_cost
     vertices = path.vertices
     total = 0
     try:

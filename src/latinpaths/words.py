@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
 
-DEFAULT_ENUMERATION_CAP = 8
+ENUMERATION_CAP = 8
 
 EMPTY_RENDERING = "^"
 
@@ -168,14 +168,12 @@ def sigma_count(n: int) -> int:
     return total
 
 
-def enumerate_distinguished(
-    alphabet: Alphabet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> frozenset[DistinguishedWord]:
+def enumerate_distinguished(alphabet: Alphabet) -> frozenset[DistinguishedWord]:
     """All distinguished words over the alphabet, the empty word included."""
     n = alphabet.n
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"alphabet size {n} exceeds the enumeration cap {cap}"
+            f"alphabet size {n} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     words = {EMPTY_WORD}
     for k in range(1, n + 1):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinpaths.cli import _emit_result, main
-from latinpaths.graph import DirectedGraph, VertexPath, format_cost, path_cost
+from latinpaths.graph import DirectedGraph, VertexPath, format_cost, path_cost, serialize_graph
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -248,6 +248,19 @@ class TestMatrix:
         assert code == 0, err
         assert out == run_cli("matrix", five_file, "-k", "2")[1]
 
+    def test_engines_agree_on_the_corpus(self, corpus, tmp_path):
+        """Every power of the graphs the golden digests pin the lcdl table
+        on: the oracle's table is the same, byte for byte."""
+        path = tmp_path / "graph.txt"
+        for graph in corpus[:20]:
+            path.write_text(serialize_graph(graph))
+            for k in range(1, graph.n + 1):
+                for fmt in ("text", "json"):
+                    query = ("matrix", str(path), "-k", str(k), "--format", fmt)
+                    code, lcdl_out, err = run_cli(*query)
+                    assert code == 0, err
+                    assert run_cli(*query, "--engine", "oracle") == (0, lcdl_out, ""), (graph, k)
+
 
 class TestWords:
     def test_count_only(self):
@@ -296,6 +309,22 @@ class TestErrorsAndGuards:
     def test_usage_error(self):
         code, _, _ = run_cli("paths")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "FILE", "-i", "v1", "-j", "v4", "-k", "1", "--dot", "DOT"),
+        ("count", "FILE", "-i", "v1", "-j", "v4", "-k", "1", "--limit", "5"),
+        ("matrix", "FILE", "-k", "1", "--dot", "DOT"),
+        ("words", "-n", "2", "--dot", "DOT"),
+        ("words", "-n", "2", "--engine", "oracle"),
+        ("words", "-n", "2", "--limit", "5"),
+    ])
+    def test_flags_a_command_does_not_honour(self, four_file, tmp_path, argv):
+        dot = tmp_path / "out.dot"
+        names = {"FILE": four_file, "DOT": str(dot)}
+        code, out, err = run_cli(*(names.get(a, a) for a in argv))
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {argv[-2]} " in err
+        assert not dot.exists()
 
     def test_resource_guard(self, five_file):
         code, _, err = run_cli(
@@ -553,9 +582,12 @@ def argvs(draw) -> list[str]:
     if command == "words":
         argv += draw(st.sampled_from([["-n", draw(NUMBERS)], ["--alphabet", "a,b,c"], ["--alphabet", ","]]))
         argv += draw(st.sampled_from([[], ["--count-only"]]))
+    # each command with the flags it takes
     argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
-    argv += draw(st.sampled_from([[], ["--engine", "lcdl"], ["--engine", "oracle"]]))
-    argv += draw(st.sampled_from([[], [], ["--limit", draw(NUMBERS)], ["--limit", "1000000"]]))
+    if command != "words":
+        argv += draw(st.sampled_from([[], ["--engine", "lcdl"], ["--engine", "oracle"]]))
+    if command not in ("count", "words"):
+        argv += draw(st.sampled_from([[], [], ["--limit", draw(NUMBERS)], ["--limit", "1000000"]]))
     return argv
 
 

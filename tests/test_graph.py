@@ -73,6 +73,17 @@ class TestParse:
         g = parse_graph("# c\n\nvertices: a b\n# arc\na b\n")
         assert g.arcs == (("a", "b"),)
 
+    def test_lines_end_only_at_newlines(self):
+        # str.splitlines() also ends a line at \x0c, \x85, U+2028 and more
+        with pytest.raises(GraphParseError, match="^line 4: unknown vertex 'q'"):
+            parse_graph("# page\x0cbreak\nvertices: a b\na b\na q\n")
+        with pytest.raises(GraphParseError, match="^line 3: unknown vertex 'q'"):
+            parse_graph("vertices: a b\n# x\x85y\na q\n")
+        for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            assert parse_graph(f"vertices: a b\n# x{sep}y z\nb a\n").arcs == (("b", "a"),)
+        with pytest.raises(GraphParseError, match="^line 4: unknown vertex 'q'"):
+            parse_graph("vertices: a b\r\na b\rb a\na q\n")
+
     def test_vertex_name_starting_with_hash(self):
         # the arc line "#b c" would read as a comment
         with pytest.raises(GraphParseError, match="^line 2: vertex name '#b'"):
@@ -149,10 +160,6 @@ def edge_list_texts(draw):
     return "\n".join(lines) + "\n", names, arcs
 
 
-def arc_costs(graph):
-    return dict(zip(graph.arcs, graph.costs or (None,) * len(graph.arcs)))
-
-
 class TestTextProperty:
     @settings(max_examples=400)
     @given(edge_list_texts())
@@ -172,7 +179,24 @@ class TestTextProperty:
         assert list(graph.arcs) == arcs
         again = parse_graph(serialize_graph(graph))
         assert again.vertices == graph.vertices
-        assert arc_costs(again) == arc_costs(graph)
+        assert again.arc_cost == graph.arc_cost
+
+
+class TestIndex:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_agrees_with_arcs_and_costs(self, data):
+        """`successors` lists each vertex's arc targets by declaration
+        index, and `arc_cost` maps each arc to its cost, or to None."""
+        names = data.draw(st.permutations(["c", "a", "e", "b", "d"]))[: data.draw(st.integers(1, 5))]
+        arcs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), unique=True))
+        costs = data.draw(st.none() | st.tuples(*(st.floats(allow_nan=False) for _ in arcs)))
+        graph = DirectedGraph(tuple(names), tuple(arcs), costs)
+        for i, u in enumerate(names):
+            assert graph.successors[i] == tuple(j for j, v in enumerate(names) if (u, v) in arcs)
+        assert list(graph.arc_cost) == arcs
+        for a, arc in enumerate(arcs):
+            assert graph.arc_cost[arc] is (None if costs is None else costs[a])
 
 
 class TestAdjacencyMatrix:

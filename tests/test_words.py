@@ -133,7 +133,7 @@ class TestSigmaCount:
         with pytest.raises(ValueError):
             sigma_count(0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_enumeration(self, n):
         alphabet = Alphabet(tuple(str(i) for i in range(n)))
         assert len(enumerate_distinguished(alphabet)) == sigma_count(n)
@@ -157,7 +157,6 @@ class TestEnumerate:
         big = Alphabet(tuple(str(i) for i in range(9)))
         with pytest.raises(EnumerationCapError):
             enumerate_distinguished(big)
-        assert len(enumerate_distinguished(big, cap=9)) == sigma_count(9)
 
 
 class TestRendering:
