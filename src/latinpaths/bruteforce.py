@@ -44,7 +44,7 @@ def dfs_elementary_paths(
 ) -> EnumerationResult:
     graph.index(source), graph.index(target)
     if source == target:
-        raise ValueError("source equals target; use dfs_elementary_circuits")
+        raise ValueError("source equals target; a path needs distinct endpoints")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
     hits = [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -16,7 +17,6 @@ from . import bruteforce, enumeration
 from .graph import (
     DirectedGraph,
     GraphParseError,
-    PathError,
     VertexPath,
     format_cost,
     parse_graph,
@@ -25,8 +25,6 @@ from .graph import (
 from .words import (
     EMPTY_RENDERING,
     Alphabet,
-    AlphabetError,
-    EnumerationCapError,
     enumerate_distinguished,
     sigma_count,
 )
@@ -52,68 +50,66 @@ def _flag(*names, **options) -> argparse.ArgumentParser:
     return parent
 
 
-# Each subcommand takes only the flags it honours, so argparse rejects the
-# others.  The parent parsers are built once, at import, and parsing only
-# reads them: building the four on every `build_parser` call costs 0.1 to
-# 0.2 ms, about 4% of a short query.
-_FORMAT = _flag("--format", choices=("text", "json"), default="text", help="output format")
-_ENGINE = _flag(
-    "--engine",
-    choices=("lcdl", "oracle"),
-    default="lcdl",
-    help="lcdl: latin-matrix powers; oracle: brute-force DFS reference",
-)
-_LIMIT = _flag(
-    "--limit",
-    type=_positive_int,
-    default=enumeration.DEFAULT_WORD_LIMIT,
-    help="stored-word guard on each latin power, or on the entries of each "
-    "power of the optimal recurrence (lcdl engine only)",
-)
-_DOT = _flag("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")
-_ENUMERATION_FLAGS = [_FORMAT, _ENGINE, _LIMIT, _DOT]
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Each subcommand takes only the flags it honours, so argparse rejects the
+    # others.
+    fmt = _flag("--format", choices=("text", "json"), default="text", help="output format")
+    engine = _flag(
+        "--engine",
+        choices=("lcdl", "oracle"),
+        default="lcdl",
+        help="lcdl: latin-matrix powers; oracle: brute-force DFS reference",
+    )
+    limit = _flag(
+        "--limit",
+        type=_positive_int,
+        default=enumeration.DEFAULT_WORD_LIMIT,
+        help="stored-word guard on each latin power, or on the entries of each "
+        "power of the optimal recurrence (lcdl engine only)",
+    )
+    dot = _flag("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")
+    enumerating = [fmt, engine, limit, dot]
+
     parser = argparse.ArgumentParser(
         prog="latinpaths",
         description="Enumerate elementary paths and circuits of a directed graph",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("paths", parents=_ENUMERATION_FLAGS, help="elementary paths of a given length")
+    p = sub.add_parser("paths", parents=enumerating, help="elementary paths of a given length")
     p.add_argument("file")
     p.add_argument("-i", required=True, metavar="SOURCE")
     p.add_argument("-j", required=True, metavar="TARGET")
     p.add_argument("-k", required=True, type=int, metavar="LENGTH")
 
-    p = sub.add_parser("circuits", parents=_ENUMERATION_FLAGS, help="elementary circuits of a given length")
+    p = sub.add_parser("circuits", parents=enumerating, help="elementary circuits of a given length")
     p.add_argument("file")
     p.add_argument("-i", required=True, metavar="START")
     p.add_argument("-k", required=True, type=int, metavar="LENGTH")
 
-    p = sub.add_parser("hamiltonian", parents=_ENUMERATION_FLAGS, help="all Hamiltonian paths or circuits")
+    p = sub.add_parser("hamiltonian", parents=enumerating, help="all Hamiltonian paths or circuits")
     p.add_argument("file")
     p.add_argument("--kind", choices=("path", "circuit"), required=True)
 
-    p = sub.add_parser("count", parents=[_FORMAT, _ENGINE], help="count all paths of a given length")
+    p = sub.add_parser("count", parents=[fmt, engine], help="count all paths of a given length")
     p.add_argument("file")
     p.add_argument("-i", required=True, metavar="SOURCE")
     p.add_argument("-j", required=True, metavar="TARGET")
     p.add_argument("-k", required=True, type=int, metavar="LENGTH")
 
-    p = sub.add_parser("optimal", parents=_ENUMERATION_FLAGS, help="cost-optimal Hamiltonian path or circuit")
+    p = sub.add_parser("optimal", parents=enumerating, help="cost-optimal Hamiltonian path or circuit")
     p.add_argument("file")
     p.add_argument("--kind", choices=("path", "circuit"), required=True)
     p.add_argument("--objective", choices=("min", "max"), default="min")
     p.add_argument("--from", dest="start", metavar="VERTEX")
     p.add_argument("--to", dest="end", metavar="VERTEX")
 
-    p = sub.add_parser("matrix", parents=[_FORMAT, _ENGINE, _LIMIT], help="print a latin-matrix power")
+    p = sub.add_parser("matrix", parents=[fmt, engine, limit], help="print a latin-matrix power")
     p.add_argument("file")
     p.add_argument("-k", required=True, type=int, metavar="POWER")
 
-    p = sub.add_parser("words", parents=[_FORMAT], help="distinguished words over an alphabet")
+    p = sub.add_parser("words", parents=[fmt], help="distinguished words over an alphabet")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-n", type=int, help="alphabet size; symbols are 1..n")
     group.add_argument("--alphabet", help="comma-separated symbols")
@@ -123,8 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str) -> DirectedGraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    """Parse a UTF-8 graph file; a leading byte order mark is skipped."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # line ends as `parse_graph` counts them: "\n", "\r\n" or "\r"
+        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise GraphParseError(
+            before.count(b"\n") + 1, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+        ) from None
+    return parse_graph(text)
 
 
 def _json(payload: dict) -> str:
@@ -296,17 +302,19 @@ def _run_matrix(args) -> str:
     if not 1 <= k <= n:
         raise ValueError(f"power {k} out of range 1..{n}")
     if args.engine == "oracle":
-        def entry(i, j):
-            if i == j:
-                return bruteforce.dfs_elementary_circuits(graph, names[i], k).items
-            if k == n:  # an n-arc path needs n+1 distinct vertices
-                return ()
-            return bruteforce.dfs_elementary_paths(graph, names[i], names[j], k).items
+        circuits, paths = bruteforce.dfs_elementary_circuits, bruteforce.dfs_elementary_paths
     else:
         powers = _powers(graph, args)
+        circuits = functools.partial(enumeration.elementary_circuits, powers=powers)
+        paths = functools.partial(enumeration.elementary_paths, powers=powers)
 
-        def entry(i, j):
-            return enumeration._decode(graph, powers.words(k, i, j))
+    def entry(i, j):
+        if i == j:
+            return circuits(graph, names[i], k).items
+        if k == n:  # an n-arc path needs n+1 distinct vertices
+            return ()
+        return paths(graph, names[i], names[j], k).items
+
     rendered = [[_render_entry(entry(i, j)) for j in range(n)] for i in range(n)]
     if args.format == "json":
         return _json({"query": {"command": "matrix", "k": k}, "rows": rendered})
@@ -353,9 +361,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
@@ -365,14 +372,7 @@ def main(argv=None) -> int:
     except enumeration.WordLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        GraphParseError,
-        PathError,
-        AlphabetError,
-        EnumerationCapError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # parse, path and alphabet errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(output)

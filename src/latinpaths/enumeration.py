@@ -232,7 +232,7 @@ def elementary_paths(
 ) -> EnumerationResult:
     i, j = graph.index(source), graph.index(target)
     if i == j:
-        raise ValueError("source equals target; use elementary_circuits")
+        raise ValueError("source equals target; a path needs distinct endpoints")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
     words = powers.words(k, i, j)

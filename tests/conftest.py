@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latinpaths
 from latinpaths.graph import DirectedGraph, parse_graph
 
 # 4-vertex unweighted graph: dominant upper-triangular shape with two
@@ -73,3 +78,16 @@ def build_corpus() -> list[DirectedGraph]:
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports latinpaths from this source tree."""
+    source_root = str(Path(latinpaths.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )

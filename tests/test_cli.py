@@ -71,6 +71,13 @@ class TestPaths:
         code, _, _ = run_cli("paths", four_file, "-i", "nope", "-j", "v4", "-k", "2")
         assert code == 2
 
+    def test_same_endpoints_fail_alike_on_both_engines(self, four_file):
+        query = ("paths", four_file, "-i", "v2", "-j", "v2", "-k", "2")
+        code, out, err = run_cli(*query)
+        assert (code, out) == (2, "")
+        assert err == "error: source equals target; a path needs distinct endpoints\n"
+        assert run_cli(*query, "--engine", "oracle") == (code, out, err)
+
 
 class TestCircuits:
     def test_full_tour(self, five_file):
@@ -378,6 +385,36 @@ class TestErrorsAndGuards:
         code, out, err = run_cli("hamiltonian", str(path), "--kind", "path")
         assert (code, out) == (2, "")
         assert "line 1:" in err
+
+
+class TestGraphEncoding:
+    QUERY = ("hamiltonian", "FILE", "--kind", "circuit", "--format", "json")
+
+    def run(self, tmp_path, data: bytes, engine: str):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        return run_cli(*(str(path) if a == "FILE" else a for a in self.QUERY), "--engine", engine)
+
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, engine):
+        plain = FIVE_VERTEX_TEXT.encode()
+        code, out, err = self.run(tmp_path, b"\xef\xbb\xbf" + plain, engine)
+        assert code == 0, err
+        assert out == self.run(tmp_path, plain, engine)[1]
+        assert json.loads(out)["count"] == 5
+
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, engine, end):
+        data = end.join([b"vertices: a b c", b"a b", b"b \xff c", b""])
+        code, out, err = self.run(tmp_path, data, engine)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: byte 0xff is not UTF-8\n"
+
+    def test_line_count_after_a_byte_order_mark(self, tmp_path):
+        code, _, err = self.run(tmp_path, b"\xef\xbb\xbfvertices: a\n\xc3(\n", "lcdl")
+        assert code == 2
+        assert err == "error: line 2: byte 0xc3 is not UTF-8\n"
 
 
 class TestDot:

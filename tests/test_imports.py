@@ -2,14 +2,7 @@
 them loads none of the word, language and semiring algebra, so the oracle
 is independent ground truth."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import latinpaths
-
-SOURCE_ROOT = str(Path(latinpaths.__file__).resolve().parents[1])
+from conftest import run_python
 
 
 def test_graph_and_oracle_load_no_algebra():
@@ -17,14 +10,7 @@ def test_graph_and_oracle_load_no_algebra():
         "import sys, latinpaths.graph, latinpaths.bruteforce\n"
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'latinpaths'))"
     )
-    path = os.pathsep.join(filter(None, (SOURCE_ROOT, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "latinpaths.graph" in loaded and "latinpaths.bruteforce" in loaded
