@@ -10,70 +10,57 @@ from __future__ import annotations
 from .graph import DirectedGraph, EnumerationResult, VertexPath
 
 
-def _successors(graph: DirectedGraph) -> dict[str, list[str]]:
-    """The successors of each vertex by name, in declaration order."""
-    names = graph.vertices
-    return {u: [names[m] for m in succ] for u, succ in zip(names, graph.successors)}
-
-
-def _simple_paths_from(graph, source, max_len):
-    """Yield every simple path (as a vertex tuple) from source with arc-length
-    between 1 and max_len."""
-    succ = _successors(graph)
+def _simple_paths_from(graph: DirectedGraph, source: int, max_len: int):
+    """Yield every simple path from source with arc-length between 1 and
+    max_len, as a tuple of vertex indices, depth first in preorder.  The
+    walk keeps its own stack, so no recursion limit bounds its depth."""
+    succ = graph.successors
     path = [source]
-    on_path = {source}
-
-    def walk():
-        if len(path) - 1 >= max_len:
-            return
-        for nxt in succ[path[-1]]:
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield tuple(path)
-            yield from walk()
-            on_path.discard(nxt)
+    on_path = [False] * graph.n
+    on_path[source] = True
+    stack = [iter(succ[source])]  # stack[d]: the untried successors of path[d]
+    while stack:
+        for nxt in stack[-1]:
+            if not on_path[nxt]:
+                break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+            continue
+        path.append(nxt)
+        yield tuple(path)
+        if len(path) <= max_len:
+            on_path[nxt] = True
+            stack.append(iter(succ[nxt]))
+        else:
             path.pop()
-
-    yield from walk()
 
 
 def dfs_elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int
 ) -> EnumerationResult:
-    graph.index(source), graph.index(target)
-    if source == target:
+    s, t = graph.index(source), graph.index(target)
+    if s == t:
         raise ValueError("source equals target; a path needs distinct endpoints")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
-    hits = [
-        p for p in _simple_paths_from(graph, source, k)
-        if len(p) - 1 == k and p[-1] == target
-    ]
-    hits.sort(key=graph.order_key)
-    return EnumerationResult(
-        "path", source, target, k, tuple(VertexPath(p) for p in hits)
-    )
+    hits = (p for p in _simple_paths_from(graph, s, k) if len(p) == k + 1 and p[-1] == t)
+    return EnumerationResult("path", source, target, k, tuple(graph.canonical_paths(hits)))
 
 
 def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
-    graph.index(start)
+    s = graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
-    arcs = graph.arc_cost
-    hits: list[tuple[str, ...]] = []
+    succ = graph.successors
     if k == 1:
-        if (start, start) in arcs:
-            hits.append((start, start))
+        hits = [(s, s)] if s in succ[s] else []
     else:
-        for p in _simple_paths_from(graph, start, k - 1):
-            if len(p) - 1 == k - 1 and (p[-1], start) in arcs:
-                hits.append(p + (start,))
-    hits.sort(key=graph.order_key)
-    return EnumerationResult(
-        "circuit", start, start, k, tuple(VertexPath(p) for p in hits)
-    )
+        hits = [
+            p + (s,) for p in _simple_paths_from(graph, s, k - 1)
+            if len(p) == k and s in succ[p[-1]]
+        ]
+    return EnumerationResult("circuit", start, start, k, tuple(graph.canonical_paths(hits)))
 
 
 def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
@@ -82,16 +69,15 @@ def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) 
     that end at v."""
     if k < 1:
         raise ValueError("path length must be at least 1")
-    graph.index(source), graph.index(target)
-    succ = _successors(graph)
-    ways = {source: 1}
+    s, t = graph.index(source), graph.index(target)
+    ways = {s: 1}
     for _ in range(k):
-        step: dict[str, int] = {}
+        step: dict[int, int] = {}
         for v, count in ways.items():
-            for u in succ[v]:
+            for u in graph.successors[v]:
                 step[u] = step.get(u, 0) + count
         ways = step
-    return ways.get(target, 0)
+    return ways.get(t, 0)
 
 
 def enumerate_all_elementary(
@@ -99,16 +85,16 @@ def enumerate_all_elementary(
 ) -> dict[tuple[str, str, int], set[tuple[str, ...]]]:
     """Every elementary path and anchored circuit in one sweep, keyed by
     (source, target, arc-length).  One DFS per source vertex."""
-    arcs = graph.arc_cost
+    succ, name = graph.successors, graph.vertices.__getitem__
     out: dict[tuple[str, str, int], set[tuple[str, ...]]] = {}
-    for source in graph.vertices:
-        if (source, source) in arcs:
+    for s, source in enumerate(graph.vertices):
+        if s in succ[s]:
             out.setdefault((source, source, 1), set()).add((source, source))
-        for p in _simple_paths_from(graph, source, graph.n - 1):
-            k = len(p) - 1
-            out.setdefault((source, p[-1], k), set()).add(p)
-            if (p[-1], source) in arcs:
-                out.setdefault((source, source, k + 1), set()).add(p + (source,))
+        for p in _simple_paths_from(graph, s, graph.n - 1):
+            k, names = len(p) - 1, tuple(map(name, p))
+            out.setdefault((source, names[-1], k), set()).add(names)
+            if s in succ[p[-1]]:
+                out.setdefault((source, source, k + 1), set()).add(names + (source,))
     return out
 
 
@@ -123,7 +109,6 @@ def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[VertexPath]:
         return [p for s in graph.vertices for p in dfs_elementary_circuits(graph, s, n).items]
     if n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
-    found = [
-        p for s in graph.vertices for p in _simple_paths_from(graph, s, n - 1) if len(p) == n
-    ]
-    return [VertexPath(p) for p in sorted(found, key=graph.order_key)]
+    return graph.canonical_paths(
+        p for s in range(n) for p in _simple_paths_from(graph, s, n - 1) if len(p) == n
+    )

@@ -16,7 +16,6 @@ import sys
 from . import bruteforce, enumeration
 from .graph import (
     DirectedGraph,
-    GraphParseError,
     VertexPath,
     format_cost,
     parse_graph,
@@ -119,18 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str) -> DirectedGraph:
-    """Parse a UTF-8 graph file; a leading byte order mark is skipped."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # line ends as `parse_graph` counts them: "\n", "\r\n" or "\r"
-        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise GraphParseError(
-            before.count(b"\n") + 1, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8"
-        ) from None
-    return parse_graph(text)
+    """Parse a UTF-8 graph file; a leading byte order mark is skipped, and
+    `parse_graph` reports a byte that is not UTF-8 on its line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+        return parse_graph(handle.read())
 
 
 def _json(payload: dict) -> str:

@@ -218,13 +218,8 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 
 
 def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
-    """Decode kernel words in canonical order: lexicographic by index
-    sequence."""
-    name = graph.vertices.__getitem__
-    return [
-        VertexPath(tuple(map(name, indices)))
-        for indices in sorted(indices for _, indices in words)
-    ]
+    """Decode kernel words in canonical order."""
+    return graph.canonical_paths(indices for _, indices in words)
 
 
 def elementary_paths(

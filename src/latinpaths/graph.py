@@ -8,8 +8,13 @@ non-comment line is "vertices: v1 v2 ... vn"; every following line is
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+
+
+# A byte that is not UTF-8, as decoding with errors="surrogateescape" leaves it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class GraphParseError(ValueError):
@@ -67,9 +72,11 @@ class DirectedGraph:
         except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
-    def order_key(self, vertices: tuple[str, ...]) -> tuple[int, ...]:
-        """Sort key of canonical order: lexicographic by declaration index."""
-        return tuple(self.index(v) for v in vertices)
+    def canonical_paths(self, index_paths) -> list[VertexPath]:
+        """Vertex-index tuples as paths in canonical order: lexicographic by
+        declaration index."""
+        name = self.vertices.__getitem__
+        return [VertexPath(tuple(map(name, p))) for p in sorted(index_paths)]
 
     def cost_of(self, u: str, v: str) -> float:
         if self.costs is None:
@@ -129,6 +136,9 @@ def validate_path(graph: DirectedGraph, path: VertexPath):
 
 
 def parse_graph(text: str) -> DirectedGraph:
+    """Parse the edge-list format.  Text decoded with
+    errors="surrogateescape" may hold bytes that are not UTF-8; each is a
+    parse error on its line, comments included."""
     vertices: tuple[str, ...] | None = None
     arcs: list[tuple[str, str]] = []
     costs: list[float | None] = []
@@ -138,6 +148,8 @@ def parse_graph(text: str) -> DirectedGraph:
     # break a comment at a form feed, NEL or U+2028.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
+        if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
+            raise GraphParseError(line_no, f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,9 +209,12 @@ def parse_graph(text: str) -> DirectedGraph:
 
 def serialize_graph(graph: DirectedGraph) -> str:
     """Emit the edge-list format; arcs sorted by (source index, target index)."""
-    lines = ["vertices: " + " ".join(graph.vertices)]
-    for (u, v), cost in sorted(graph.arc_cost.items(), key=lambda item: graph.order_key(item[0])):
-        lines.append(f"{u} {v}" if cost is None else f"{u} {v} {format_cost(cost)}")
+    names = graph.vertices
+    lines = ["vertices: " + " ".join(names)]
+    for u, targets in zip(names, graph.successors):
+        for v in map(names.__getitem__, targets):
+            cost = graph.arc_cost[u, v]
+            lines.append(f"{u} {v}" if cost is None else f"{u} {v} {format_cost(cost)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import pytest
 
 from latinpaths.bruteforce import (
@@ -14,8 +17,13 @@ from latinpaths.enumeration import (
     hamiltonian_paths,
     latin_powers,
 )
-from latinpaths.graph import DirectedGraph, validate_path
+from latinpaths.cli import main
+from latinpaths.graph import DirectedGraph, serialize_graph, validate_path
 from latinpaths.semiring import mat_power_left
+
+# Deeper than the interpreter's default recursion limit of 1000.  The lcdl
+# kernel is O(n^3) here, so only the oracle answers these.
+DEEP = 1050
 
 
 @pytest.fixture
@@ -95,6 +103,48 @@ class TestCountAllPaths:
             assert dfs_count_all_paths(triangle, "1", target, 2000) == count_paths(
                 triangle, "1", target, 2000
             )
+
+
+def ring(n: int, closed: bool) -> DirectedGraph:
+    """The chain v0 -> v1 -> ... -> v(n-1), closed back to v0 if asked."""
+    names = tuple(f"v{i}" for i in range(n))
+    arcs = tuple(zip(names, names[1:]))
+    if closed:
+        arcs += ((names[-1], names[0]),)
+    return DirectedGraph(names, arcs)
+
+
+def run_oracle(tmp_path, graph, *query):
+    path = tmp_path / "deep.txt"
+    path.write_text(serialize_graph(graph))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([query[0], str(path), *query[1:], "--engine", "oracle"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDeepQueries:
+    CHAIN = ring(DEEP, closed=False)
+    CYCLE = ring(DEEP, closed=True)
+    LAST = f"v{DEEP - 1}"
+
+    def test_chain_path(self):
+        result = dfs_elementary_paths(self.CHAIN, "v0", self.LAST, DEEP - 1)
+        assert [p.vertices for p in result.items] == [self.CHAIN.vertices]
+
+    def test_chain_path_cli(self, tmp_path):
+        code, out, err = run_oracle(
+            tmp_path, self.CHAIN, "paths", "-i", "v0", "-j", self.LAST, "-k", str(DEEP - 1)
+        )
+        assert (code, out, err) == (0, "-".join(self.CHAIN.vertices) + "\n", "")
+
+    def test_cycle_circuit(self):
+        result = dfs_elementary_circuits(self.CYCLE, "v0", DEEP)
+        assert [p.vertices for p in result.items] == [self.CYCLE.vertices + ("v0",)]
+
+    def test_cycle_circuit_cli(self, tmp_path):
+        code, out, err = run_oracle(tmp_path, self.CYCLE, "circuits", "-i", "v0", "-k", str(DEEP))
+        assert (code, out, err) == (0, "-".join(self.CYCLE.vertices + ("v0",)) + "\n", "")
 
 
 class TestHamiltonian:

@@ -411,6 +411,18 @@ class TestGraphEncoding:
         assert (code, out) == (2, "")
         assert err == "error: line 3: byte 0xff is not UTF-8\n"
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_reported_in_line_order(self, tmp_path, end):
+        in_comment = end.join([b"vertices: a b c", b"# caf\xe9", b"a b", b""])
+        code, _, err = self.run(tmp_path, in_comment, "lcdl")
+        assert (code, err) == (2, "error: line 2: byte 0xe9 is not UTF-8\n")
+        after_malformed = end.join(
+            [b"vertices: a b c", b"a b", b"b c a d", b"c a", b"c \xff b", b""]
+        )
+        code, _, err = self.run(tmp_path, after_malformed, "lcdl")
+        assert code == 2
+        assert err.startswith("error: line 3: malformed arc line")
+
     def test_line_count_after_a_byte_order_mark(self, tmp_path):
         code, _, err = self.run(tmp_path, b"\xef\xbb\xbfvertices: a\n\xc3(\n", "lcdl")
         assert code == 2
