@@ -10,15 +10,20 @@ given.  Nothing is cached across calls: every CLI query builds its own.
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
 Every entry of L is the single word v_i v_m, so entry (i, j) of the product
 prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
-(i, m); when j = i the prepended word closes a circuit.  Words are held as
-plain (mask, indices) pairs, with no word or language objects per
-intermediate.  The generic product over the semiring of distinguished
+(i, m); when j = i the prepended word closes a circuit.  A word is the
+bare tuple of its vertex indices, with no word or language objects per
+intermediate, and a power is n sparse rows that store only nonempty
+entries, so a power costs its words, not n^2.  Each entry comes out in
+canonical order, since m ascends and every entry of L^[k-1] is in that
+order already.  The generic product over the semiring of distinguished
 languages stays as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and
 `LatinPowerSequence.power` rebuilds a kernel power in that representation,
-on demand, for comparison; the `matrix` command decodes a power entry by
-entry, as the other queries do.  The adjacency matrix over the naturals is
-the reference for `count_paths`.
+on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
+every power, built on demand for readers that walk whole powers.  The
+`matrix` command decodes a power entry by entry, as the other queries do.
+The adjacency matrix over the naturals is the reference for
+`count_paths`.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per (first vertex, vertex
@@ -30,12 +35,13 @@ enumeration and is its reference.  Both compare costs exactly, as integers
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import DirectedGraph, EnumerationResult, VertexPath, exact_costs, path_cost
 from .languages import DistinguishedLanguage
 from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
-from .words import Alphabet, DistinguishedWord, WordKind
+from .words import Alphabet, DistinguishedWord
 
 DEFAULT_WORD_LIMIT = 1_000_000
 
@@ -55,10 +61,13 @@ class DiagonalInvariantError(AssertionError):
     a bug in the composition engine, not bad input."""
 
 
-# One word of a latin power: the bitset of its vertex indices and the
-# indices themselves.  Diagonal entries hold circuits, whose first index is
-# repeated at the end.
-Word = tuple[int, tuple[int, ...]]
+# One word of a latin power: its vertex indices.  Diagonal entries hold
+# circuits, whose first index is repeated at the end.
+Word = tuple[int, ...]
+
+# One latin power: per row i, the nonempty entries (i, j) as j -> their
+# words in canonical order.
+SparsePower = list[dict[int, list[Word]]]
 
 
 # Plain slotted classes, not dataclasses: creating a dataclass adds about
@@ -68,12 +77,12 @@ class PowerEntry:
 
     __slots__ = ("words",)
 
-    def __init__(self, words: tuple[Word, ...]):
+    def __init__(self, words: Sequence[Word]):
         self.words = words
 
 
 class WordMatrix:
-    """One latin power as computed by the kernel."""
+    """One latin power as a dense n x n matrix of entries."""
 
     __slots__ = ("rows",)
 
@@ -84,23 +93,39 @@ class WordMatrix:
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
     vertices: tuple[str, ...]
-    powers: tuple[WordMatrix, ...]  # powers[k-1] is the k-th left power
+    sparse: tuple[SparsePower, ...]  # sparse[k-1] is the k-th left power
 
-    def words(self, k: int, i: int, j: int) -> tuple[Word, ...]:
-        """The words of entry (i, j) of the k-th power."""
-        return self.powers[k - 1].rows[i][j].words
+    def words(self, k: int, i: int, j: int) -> Sequence[Word]:
+        """The words of entry (i, j) of the k-th power, in canonical order.
+        Read only: the list is the power's own."""
+        return self.sparse[k - 1][i].get(j, ())
+
+    def _dense(self, k: int) -> list[list[Sequence[Word]]]:
+        if not 1 <= k <= len(self.sparse):
+            raise ValueError(f"power {k} out of range 1..{len(self.sparse)}")
+        n = len(self.vertices)
+        return [[row.get(j, ()) for j in range(n)] for row in self.sparse[k - 1]]
 
     def power(self, k: int) -> SemiringMatrix:
         """The k-th power as a matrix of distinguished languages, equal to
         `mat_power_left(latin_matrix(graph), k)`.  Built on each call."""
-        if not 1 <= k <= len(self.powers):
-            raise ValueError(f"power {k} out of range 1..{len(self.powers)}")
-        rows = self.powers[k - 1].rows
-        return _language_matrix(self.vertices, ([entry.words for entry in row] for row in rows))
+        return _language_matrix(self.vertices, self._dense(k))
 
-
-def _word_matrix(rows: list[list[list[Word]]]) -> WordMatrix:
-    return WordMatrix(tuple(tuple(PowerEntry(tuple(words)) for words in row) for row in rows))
+    @property
+    def powers(self) -> tuple[WordMatrix, ...]:
+        """Every power as a dense matrix of entries, powers[k-1] the k-th.
+        Built on each access, for readers that walk whole powers; read
+        only, as the entries share the powers' word lists."""
+        empty = PowerEntry(())
+        return tuple(
+            WordMatrix(
+                tuple(
+                    tuple(PowerEntry(words) if words else empty for words in row)
+                    for row in self._dense(k)
+                )
+            )
+            for k in range(1, len(self.sparse) + 1)
+        )
 
 
 def latin_powers(
@@ -113,38 +138,40 @@ def latin_powers(
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
         raise WordLimitError(1, len(graph.arcs), word_limit)
     succ = graph.successors
-    prev: list[list[list[Word]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for m in succ[i]:
-            prev[i][m].append(((1 << i) | (1 << m), (i, m)))
-    powers = [_word_matrix(prev)]
+    prev: SparsePower = [{m: [(i, m)] for m in succ[i]} for i in range(n)]
+    powers = [prev]
     # A self-loop's word is cyclic and absorbs every product it enters.
     steps = [[m for m in succ[i] if m != i] for i in range(n)]
     for k in range(2, n + 1):
-        cur = []
+        cur: SparsePower = []
+        count = 0
         for i in range(n):
-            row: list[list[Word]] = [[] for _ in range(n)]
-            bit, head = 1 << i, (i,)
+            row: dict[int, list[Word]] = {}
+            head = (i,)
             for m in steps[i]:
-                for j, words in enumerate(prev[m]):
+                for j, words in prev[m].items():
                     # Entry (m, m) holds circuits only, which absorb.
-                    if not words or j == m:
+                    if j == m:
                         continue
                     if j == i:  # every word ends at v_i: close the circuit
-                        row[j] += [(mask, head + w) for mask, w in words]
+                        new = [head + w for w in words]
                     else:
-                        row[j] += [
-                            (mask | bit, head + w) for mask, w in words if not mask & bit
-                        ]
+                        new = [head + w for w in words if i not in w]
+                        if not new:
+                            continue
+                    if j in row:
+                        row[j] += new
+                    else:
+                        row[j] = new
+            count += sum(map(len, row.values()))
             cur.append(row)
-        count = sum(len(words) for row in cur for words in row)
         if count > word_limit:
             raise WordLimitError(k, count, word_limit)
-        powers.append(_word_matrix(cur))
+        powers.append(cur)
         prev = cur
-    for i in range(n):
-        for j in range(n):
-            if i != j and prev[i][j]:
+    for i, row in enumerate(prev):
+        for j in row:
+            if j != i:
                 raise DiagonalInvariantError(
                     f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
                 )
@@ -153,24 +180,19 @@ def latin_powers(
 
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
     """Kernel words as a matrix of distinguished languages: rows[i][j]
-    holds the (mask, indices) words of entry (i, j), simple words off the
-    diagonal and simple cyclic words on it."""
+    holds the index words of entry (i, j), simple words off the diagonal
+    and simple cyclic words on it."""
     alphabet = Alphabet(vertices)
-    kinds = (WordKind.SIMPLE, WordKind.SIMPLE_CYCLIC)
     return SemiringMatrix(
         language_semiring(alphabet),
         tuple(
             tuple(
                 DistinguishedLanguage(
-                    alphabet,
-                    frozenset(
-                        DistinguishedWord(indices, kinds[i == j], mask)
-                        for mask, indices in words
-                    ),
+                    alphabet, frozenset(map(DistinguishedWord.from_indices, words))
                 )
-                for j, words in enumerate(row)
+                for words in row
             )
-            for i, row in enumerate(rows)
+            for row in rows
         ),
     )
 
@@ -191,7 +213,7 @@ def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
     rows: list[list[list[Word]]] = [[[] for _ in graph.vertices] for _ in graph.vertices]
     for u, v in graph.arcs:
         i, j = index[u], index[v]
-        rows[i][j].append(((1 << i) | (1 << j), (i, j)))
+        rows[i][j].append((i, j))
     return _language_matrix(graph.vertices, rows)
 
 
@@ -217,11 +239,6 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
     )
 
 
-def _decode(graph: DirectedGraph, words) -> list[VertexPath]:
-    """Decode kernel words in canonical order."""
-    return graph.canonical_paths(indices for _, indices in words)
-
-
 def elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int, powers: LatinPowerSequence
 ) -> EnumerationResult:
@@ -231,7 +248,7 @@ def elementary_paths(
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
     words = powers.words(k, i, j)
-    return EnumerationResult("path", source, target, k, tuple(_decode(graph, words)))
+    return EnumerationResult("path", source, target, k, tuple(graph.canonical_paths(words)))
 
 
 def elementary_circuits(
@@ -241,7 +258,7 @@ def elementary_circuits(
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
     words = powers.words(k, i, i)
-    return EnumerationResult("circuit", start, start, k, tuple(_decode(graph, words)))
+    return EnumerationResult("circuit", start, start, k, tuple(graph.canonical_paths(words)))
 
 
 def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
@@ -254,7 +271,7 @@ def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[
         for j in range(graph.n):
             if i != j:
                 found.extend(powers.words(k, i, j))
-    return _decode(graph, found)
+    return graph.canonical_paths(found)
 
 
 def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
@@ -262,7 +279,7 @@ def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> li
     found = []
     for i in range(graph.n):
         found.extend(powers.words(graph.n, i, i))
-    return _decode(graph, found)
+    return graph.canonical_paths(found)
 
 
 def max_length_elementary(
@@ -296,7 +313,7 @@ def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     succ = graph.successors
     column = [int(j in targets) for targets in succ]
     for _ in range(k - 1):
-        column = [sum(column[m] for m in targets) for targets in succ]
+        column = [sum(map(column.__getitem__, targets)) for targets in succ]
     return column[i]
 
 

@@ -159,7 +159,8 @@ def parse_graph(text: str) -> DirectedGraph:
             names = line[len("vertices:"):].split()
             if not names:
                 raise GraphParseError(line_no, "vertex list is empty")
-            if len(set(names)) != len(names):
+            declared = set(names)
+            if len(declared) != len(names):
                 raise GraphParseError(line_no, "duplicate vertex name")
             for name in names:
                 # its arc lines would read as comments
@@ -172,7 +173,7 @@ def parse_graph(text: str) -> DirectedGraph:
             raise GraphParseError(line_no, f"malformed arc line {line!r}")
         u, v = parts[0], parts[1]
         for name in (u, v):
-            if name not in vertices:
+            if name not in declared:
                 raise GraphParseError(line_no, f"unknown vertex {name!r}")
         if (u, v) in arc_lines:
             raise GraphParseError(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +430,13 @@ def assert_kernel_matches_reference(g):
     for k, expected in enumerate(reference, start=1):
         assert powers.power(k) == expected, k
         assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
+        # sparse rows: no empty entry is stored, and each is in canonical order
+        for row in powers.sparse[k - 1]:
+            assert all(row.values()), k
+        for i in range(g.n):
+            for j in range(g.n):
+                words = powers.words(k, i, j)
+                assert list(words) == sorted(words), (k, i, j)
 
 
 class TestKernelAgainstReference:
@@ -458,6 +466,21 @@ class TestKernelAgainstReference:
         assert_kernel_matches_reference(
             DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
         )
+
+
+def test_sparse_chain_powers():
+    # A chain's powers hold n - k words each; a dense n x n grid per power
+    # would cost O(n^3), about 280 MB at n = 180.
+    names = tuple(f"v{i}" for i in range(180))
+    g = DirectedGraph(names, tuple(zip(names, names[1:])))
+    tracemalloc.start()
+    try:
+        powers = latin_powers(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert [p.render() for p in elementary_paths(g, "v0", "v2", 2, powers).items] == ["v0-v1-v2"]
 
 
 class TestGuards:
