@@ -16,7 +16,6 @@ import sys
 from . import bruteforce, enumeration
 from .graph import (
     DirectedGraph,
-    VertexPath,
     format_cost,
     parse_graph,
     path_cost,
@@ -133,22 +132,23 @@ def _query(command: str, fields, args) -> dict:
 
 
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
-    """The answer of an enumeration command.  JSON is written as text in the
-    layout of `json.dumps(payload, indent=2)`, byte for byte, with names
-    encoded once per vertex; `path_cost` prices each item once."""
+    """The answer of an enumeration command; `items` are index words in
+    canonical order.  JSON is written as text in the layout of
+    `json.dumps(payload, indent=2)`, byte for byte, with names encoded once
+    per vertex; `path_cost` prices each item once."""
     costed = graph.costs is not None
     if fmt == "json":
-        quoted = {
-            v: "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
-        }.__getitem__
+        quoted = [
+            "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
+        ].__getitem__
         parts = []
-        for p in items:
-            cost = repr(path_cost(graph, p)) if costed else "null"
+        for w in items:
+            cost = repr(path_cost(graph, w)) if costed else "null"
             parts.append(
                 '    {\n      "vertices": [\n'
-                + ",\n".join(map(quoted, p.vertices))
+                + ",\n".join(map(quoted, w))
                 + '\n      ],\n      "length": '
-                + str(p.length)
+                + str(len(w) - 1)
                 + ',\n      "cost": '
                 + cost
                 + "\n    }"
@@ -161,12 +161,13 @@ def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
         )
     if not items:
         return none_text
+    name = graph.vertices.__getitem__
     if costed:
         lines = [
-            "-".join(p.vertices) + " cost=" + format_cost(path_cost(graph, p)) for p in items
+            "-".join(map(name, w)) + " cost=" + format_cost(path_cost(graph, w)) for w in items
         ]
     else:
-        lines = ["-".join(p.vertices) for p in items]
+        lines = ["-".join(map(name, w)) for w in items]
     return "\n".join(lines) + "\n"
 
 
@@ -176,16 +177,18 @@ def _dot_quote(text: str) -> str:
 
 def _write_dot(path: str, graph: DirectedGraph, items):
     highlighted = set()
-    for p in items:
-        highlighted.update(zip(p.vertices, p.vertices[1:]))
+    for w in items:
+        highlighted.update(zip(w, w[1:]))
+    index = graph.vertex_index
     lines = ["digraph G {"]
     for v in graph.vertices:
         lines.append(f"  {_dot_quote(v)};")
-    for (u, v), cost in graph.arc_cost.items():
+    for u, v in graph.arcs:
         attrs = []
+        cost = graph.arc_cost[index[u]][index[v]]
         if cost is not None:
             attrs.append(f"label={_dot_quote(format_cost(cost))}")
-        if (u, v) in highlighted:
+        if (index[u], index[v]) in highlighted:
             attrs.append('color="red"')
             attrs.append("penwidth=2")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
@@ -195,42 +198,58 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         handle.write("\n".join(lines) + "\n")
 
 
-def _powers(graph: DirectedGraph, args) -> enumeration.LatinPowerSequence:
-    return enumeration.latin_powers(graph, args.limit)
+def _powers(graph: DirectedGraph, args, depth=None) -> enumeration.LatinPowerSequence:
+    return enumeration.latin_powers(graph, args.limit, depth)
 
 
-def _hamiltonian(graph: DirectedGraph, args) -> list[VertexPath]:
-    powers = _powers(graph, args)
-    if args.kind == "path":
-        return enumeration.hamiltonian_paths(graph, powers)
-    return enumeration.hamiltonian_circuits(graph, powers)
+def _hamiltonian(graph: DirectedGraph, args) -> list[enumeration.Word]:
+    if args.kind == "circuit":
+        return enumeration.hamiltonian_circuits(graph, _powers(graph, args))
+    # Paths read power n-1 only, and power n never holds more words than
+    # power n-1, so stopping there changes no guard outcome.  A graph of
+    # one vertex has no power 0; hamiltonian_paths refuses it.
+    return enumeration.hamiltonian_paths(graph, _powers(graph, args, max(graph.n - 1, 1)))
 
 
-def _optimal(best) -> list[VertexPath]:
+def _optimal(best) -> list[enumeration.Word]:
     return [best[0]] if best is not None else []
+
+
+def _words(graph: DirectedGraph, paths) -> list[enumeration.Word]:
+    """The oracle's paths as index words, in the order given."""
+    index = graph.vertex_index.__getitem__
+    return [tuple(map(index, p.vertices)) for p in paths]
+
+
+def _oracle_paths(graph: DirectedGraph, source: str, target: str, k: int) -> list[enumeration.Word]:
+    return _words(graph, bruteforce.dfs_elementary_paths(graph, source, target, k).items)
+
+
+def _oracle_circuits(graph: DirectedGraph, start: str, k: int) -> list[enumeration.Word]:
+    return _words(graph, bruteforce.dfs_elementary_circuits(graph, start, k).items)
 
 
 _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 
 # Commands that answer with a list of paths: (lcdl call, oracle call, query
 # fields as (JSON key, argument name) pairs, text output when nothing is
-# found).  Both calls return the paths in canonical order.
+# found).  Both calls return the paths as index words in canonical order.
 _ENUMERATIONS = {
     "paths": (
-        lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, _powers(g, a)).items,
-        lambda g, a: bruteforce.dfs_elementary_paths(g, a.i, a.j, a.k).items,
+        lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, _powers(g, a)),
+        lambda g, a: _oracle_paths(g, a.i, a.j, a.k),
         _PAIR_FIELDS,
         "",
     ),
     "circuits": (
-        lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, _powers(g, a)).items,
-        lambda g, a: bruteforce.dfs_elementary_circuits(g, a.i, a.k).items,
+        lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, _powers(g, a)),
+        lambda g, a: _oracle_circuits(g, a.i, a.k),
         (("start", "i"), ("length", "k")),
         "",
     ),
     "hamiltonian": (
         _hamiltonian,
-        lambda g, a: bruteforce.dfs_hamiltonian(g, a.kind),
+        lambda g, a: _words(g, bruteforce.dfs_hamiltonian(g, a.kind)),
         (("kind", "kind"),),
         "",
     ),
@@ -238,7 +257,7 @@ _ENUMERATIONS = {
         lambda g, a: _optimal(enumeration.held_karp(
             g, a.kind, a.objective, a.start, a.end, a.limit)),
         lambda g, a: _optimal(enumeration.optimal_hamiltonian(
-            g, bruteforce.dfs_hamiltonian(g, a.kind), a.objective, a.start, a.end)),
+            g, _words(g, bruteforce.dfs_hamiltonian(g, a.kind)), a.objective, a.start, a.end)),
         (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
         "none\n",
     ),
@@ -280,11 +299,12 @@ def _run_count(args) -> str:
     return f"{value}\n"
 
 
-def _render_entry(items) -> str:
-    """One entry of the `matrix` table: its paths, in canonical order."""
-    if not items:
+def _render_entry(graph: DirectedGraph, words) -> str:
+    """One entry of the `matrix` table: its index words, in canonical order."""
+    if not words:
         return EMPTY_RENDERING
-    return "{" + ", ".join("-".join(p.vertices) for p in items) + "}"
+    name = graph.vertices.__getitem__
+    return "{" + ", ".join("-".join(map(name, w)) for w in words) + "}"
 
 
 def _run_matrix(args) -> str:
@@ -293,7 +313,7 @@ def _run_matrix(args) -> str:
     if not 1 <= k <= n:
         raise ValueError(f"power {k} out of range 1..{n}")
     if args.engine == "oracle":
-        circuits, paths = bruteforce.dfs_elementary_circuits, bruteforce.dfs_elementary_paths
+        circuits, paths = _oracle_circuits, _oracle_paths
     else:
         powers = _powers(graph, args)
         circuits = functools.partial(enumeration.elementary_circuits, powers=powers)
@@ -301,12 +321,12 @@ def _run_matrix(args) -> str:
 
     def entry(i, j):
         if i == j:
-            return circuits(graph, names[i], k).items
+            return circuits(graph, names[i], k)
         if k == n:  # an n-arc path needs n+1 distinct vertices
             return ()
-        return paths(graph, names[i], names[j], k).items
+        return paths(graph, names[i], names[j], k)
 
-    rendered = [[_render_entry(entry(i, j)) for j in range(n)] for i in range(n)]
+    rendered = [[_render_entry(graph, entry(i, j)) for j in range(n)] for i in range(n)]
     if args.format == "json":
         return _json({"query": {"command": "matrix", "k": k}, "rows": rendered})
     widths = [max(len(r[j]) for r in rendered) for j in range(n)]

@@ -2,9 +2,13 @@
 
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
-elementary circuits).  `latin_powers` computes all n powers in one call
-and returns them; each query decodes words straight off the powers it is
-given.  Nothing is cached across calls: every CLI query builds its own.
+elementary circuits).  `latin_powers` computes powers 1..depth in one call,
+all n by default, and returns them; each query reads its words straight off
+the powers it is given, as sorted index words (`Word`), and builds no
+object per answer: names and costs are looked up per vertex index only when
+the CLI writes the answer.  Nothing is cached across calls: every CLI query
+builds its own powers, and a Hamiltonian path query builds them only to
+power n-1, the one it reads.
 
 `latin_powers` is a kernel specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
@@ -21,7 +25,7 @@ the arcs, `reference_powers` computes its left powers, and
 `LatinPowerSequence.power` rebuilds a kernel power in that representation,
 on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
 every power, built on demand for readers that walk whole powers.  The
-`matrix` command decodes a power entry by entry, as the other queries do.
+`matrix` command reads a power entry by entry, as the other queries do.
 The adjacency matrix over the naturals is the reference for
 `count_paths`.
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, EnumerationResult, VertexPath, exact_costs, path_cost
+from .graph import DirectedGraph, VertexPath, exact_costs, path_cost
 from .languages import DistinguishedLanguage
 from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
 from .words import Alphabet, DistinguishedWord
@@ -129,12 +133,20 @@ class LatinPowerSequence:
 
 
 def latin_powers(
-    graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
+    graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT, depth: int | None = None
 ) -> LatinPowerSequence:
-    """All n left powers of the latin matrix, with the explosion guard on
-    each of them, the first included, and the structural check that the
-    n-th power is diagonal."""
+    """Left powers 1..depth of the latin matrix, all n by default, with the
+    explosion guard on each of them, the first included, and, when the
+    n-th power is built, the structural check that it is diagonal.
+
+    Stopping at depth n-1 changes no guard outcome: w -> w[:-1] maps the
+    words of power n one-to-one into power n-1, so power n never holds
+    more words than power n-1."""
     n = graph.n
+    if depth is None:
+        depth = n
+    elif not 1 <= depth <= n:
+        raise ValueError(f"depth {depth} out of range 1..{n}")
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
         raise WordLimitError(1, len(graph.arcs), word_limit)
     succ = graph.successors
@@ -142,7 +154,7 @@ def latin_powers(
     powers = [prev]
     # A self-loop's word is cyclic and absorbs every product it enters.
     steps = [[m for m in succ[i] if m != i] for i in range(n)]
-    for k in range(2, n + 1):
+    for k in range(2, depth + 1):
         cur: SparsePower = []
         count = 0
         for i in range(n):
@@ -169,12 +181,13 @@ def latin_powers(
             raise WordLimitError(k, count, word_limit)
         powers.append(cur)
         prev = cur
-    for i, row in enumerate(prev):
-        for j in row:
-            if j != i:
-                raise DiagonalInvariantError(
-                    f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
-                )
+    if depth == n:
+        for i, row in enumerate(prev):
+            for j in row:
+                if j != i:
+                    raise DiagonalInvariantError(
+                        f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
+                    )
     return LatinPowerSequence(graph.vertices, tuple(powers))
 
 
@@ -198,11 +211,8 @@ def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
 
 
 def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    arcs = graph.arc_cost
-    rows = tuple(
-        tuple(1 if (u, v) in arcs else 0 for v in graph.vertices)
-        for u in graph.vertices
-    )
+    n = graph.n
+    rows = tuple(tuple(1 if j in row else 0 for j in range(n)) for row in graph.arc_cost)
     return SemiringMatrix(NATURALS, rows)
 
 
@@ -241,45 +251,52 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 
 def elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int, powers: LatinPowerSequence
-) -> EnumerationResult:
+) -> tuple[Word, ...]:
+    """The elementary paths of arc-length k from source to target, as index
+    words in canonical order."""
     i, j = graph.index(source), graph.index(target)
     if i == j:
         raise ValueError("source equals target; a path needs distinct endpoints")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
-    words = powers.words(k, i, j)
-    return EnumerationResult("path", source, target, k, tuple(graph.canonical_paths(words)))
+    return tuple(powers.words(k, i, j))
 
 
 def elementary_circuits(
     graph: DirectedGraph, start: str, k: int, powers: LatinPowerSequence
-) -> EnumerationResult:
+) -> tuple[Word, ...]:
+    """The elementary circuits of arc-length k through start, anchored there,
+    as index words in canonical order."""
     i = graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
-    words = powers.words(k, i, i)
-    return EnumerationResult("circuit", start, start, k, tuple(graph.canonical_paths(words)))
+    return tuple(powers.words(k, i, i))
 
 
-def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
-    """Every elementary path of arc-length n-1, in canonical order."""
+def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[Word]:
+    """Every elementary path of arc-length n-1, in canonical order: the
+    off-diagonal words of power n-1, which is the deepest power the
+    query needs."""
     if graph.n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
-    k = graph.n - 1
     found = []
-    for i in range(graph.n):
-        for j in range(graph.n):
-            if i != j:
-                found.extend(powers.words(k, i, j))
-    return graph.canonical_paths(found)
+    for i, row in enumerate(powers.sparse[graph.n - 2]):
+        for j, words in row.items():
+            if j != i:
+                found += words
+    # each entry is in canonical order already: this merges sorted runs
+    found.sort()
+    return found
 
 
-def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> list[VertexPath]:
-    """Every elementary circuit of arc-length n, anchored per start vertex."""
+def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> list[Word]:
+    """Every elementary circuit of arc-length n, anchored per start vertex,
+    in canonical order: the diagonal of power n, whose entry (i, i) holds
+    the words that start at v_i."""
     found = []
     for i in range(graph.n):
-        found.extend(powers.words(graph.n, i, i))
-    return graph.canonical_paths(found)
+        found += powers.words(graph.n, i, i)
+    return found
 
 
 def max_length_elementary(
@@ -288,18 +305,18 @@ def max_length_elementary(
     target: str | None = None,
     *,
     powers: LatinPowerSequence,
-) -> tuple[int, EnumerationResult] | None:
+) -> tuple[int, tuple[Word, ...]] | None:
     """Longest nonempty elementary enumeration, or None when no elementary
     path (circuit when target is omitted or equals source) exists at all."""
     circuit = target is None or target == source
     top = graph.n if circuit else graph.n - 1
     for k in range(top, 0, -1):
         if circuit:
-            result = elementary_circuits(graph, source, k, powers)
+            words = elementary_circuits(graph, source, k, powers)
         else:
-            result = elementary_paths(graph, source, target, k, powers)
-        if result.items:
-            return k, result
+            words = elementary_paths(graph, source, target, k, powers)
+        if words:
+            return k, words
     return None
 
 
@@ -335,32 +352,38 @@ def _signed(graph: DirectedGraph, objective: str) -> int:
     return 1 if objective == "min" else -1
 
 
+def _exact_arc_costs(graph: DirectedGraph) -> dict[tuple[int, int], int]:
+    """(i, j) of each arc (v_i, v_j) -> its exact cost (`exact_costs`)."""
+    index = graph.vertex_index
+    return {
+        (index[u], index[v]): c for (u, v), c in zip(graph.arcs, exact_costs(graph))
+    }
+
+
 def optimal_hamiltonian(
     graph: DirectedGraph,
-    candidates: list[VertexPath],
+    candidates: Sequence[Word],
     objective: str = "min",
     start: str | None = None,
     end: str | None = None,
-) -> tuple[VertexPath, float] | None:
+) -> tuple[Word, float] | None:
     """The cheapest (objective "min") or dearest ("max") of `candidates`,
-    the Hamiltonian paths or circuits in canonical order, among those that
-    start at `start` and end at `end` (a circuit ends where it starts), with
-    its cost; None when no candidate is left.  Costs compare exactly
-    (`exact_costs`); ties go to the first candidate in canonical order."""
+    the Hamiltonian paths or circuits as index words in canonical order,
+    among those that start at `start` and end at `end` (a circuit ends
+    where it starts), with its cost; None when no candidate is left.  Costs
+    compare exactly (`exact_costs`); ties go to the first candidate in
+    canonical order."""
     sign = _signed(graph, objective)
-    for name in (start, end):
-        if name is not None:
-            graph.index(name)
-    exact = dict(zip(graph.arcs, exact_costs(graph)))
+    s, t = (None if name is None else graph.index(name) for name in (start, end))
+    exact = _exact_arc_costs(graph)
     kept = (
-        p for p in candidates
-        if (start is None or p.vertices[0] == start)
-        and (end is None or p.vertices[-1] == end)
+        w for w in candidates
+        if (s is None or w[0] == s) and (t is None or w[-1] == t)
     )
     # min returns the first smallest item
     best = min(
         kept,
-        key=lambda p: sign * sum(exact[arc] for arc in zip(p.vertices, p.vertices[1:])),
+        key=lambda w: sign * sum(exact[arc] for arc in zip(w, w[1:])),
         default=None,
     )
     return None if best is None else (best, path_cost(graph, best))
@@ -373,7 +396,7 @@ def held_karp(
     start: str | None = None,
     end: str | None = None,
     word_limit: int = DEFAULT_WORD_LIMIT,
-) -> tuple[VertexPath, float] | None:
+) -> tuple[Word, float] | None:
     """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
     "path") or circuit ("circuit"), without enumerating them: the left
     recurrence of `latin_powers` keeping one word per entry, the
@@ -398,10 +421,9 @@ def held_karp(
         if s is not None and t is not None and s != t:
             return None
         s = t = s if s is not None else t if t is not None else 0
-    index = graph.vertex_index
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (i, signed cost of (i, m))
-    for (u, v), c in zip(graph.arcs, exact_costs(graph)):
-        into[index[v]].append((index[u], sign * c))
+    for (i, m), c in _exact_arc_costs(graph).items():
+        into[m].append((i, sign * c))
     # power 0: the one-vertex words at the ends
     cur = {(j, 1 << j): (0, (j,)) for j in (range(n) if t is None else (t,))}
     for k in range(1, n):
@@ -423,5 +445,5 @@ def held_karp(
         words = [word for (m, _), word in cur.items() if s is None or m == s]
     if not words:
         return None
-    path = VertexPath(tuple(graph.vertices[i] for i in min(words)[1]))
-    return path, path_cost(graph, path)
+    best = min(words)[1]
+    return best, path_cost(graph, best)

@@ -35,11 +35,12 @@ class DirectedGraph:
     arcs: tuple[tuple[str, str], ...]
     costs: tuple[float, ...] | None = None  # parallel to arcs
     # Built once per graph: vertex name -> its index in vertices; per vertex,
-    # its successor indices, ascending, self-loops included; and arc -> its
-    # cost, None on a graph without costs.
+    # its successor indices, ascending, self-loops included; and per vertex
+    # v_i, each successor index j -> the cost of arc (v_i, v_j), in arc
+    # order, None on a graph without costs.
     vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    arc_cost: dict[tuple[str, str], float | None] = field(
+    arc_cost: tuple[dict[int, float | None], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -49,17 +50,16 @@ class DirectedGraph:
             raise ValueError("vertex names must be distinct")
         if self.costs is not None and len(self.costs) != len(self.arcs):
             raise ValueError("every arc needs exactly one cost")
-        successors: list[list[int]] = [[] for _ in self.vertices]
-        arc_cost = {}
+        arc_cost: tuple[dict[int, float | None], ...] = tuple({} for _ in self.vertices)
         for (u, v), cost in zip(self.arcs, self.costs or (None,) * len(self.arcs)):
             if u not in vertex_index or v not in vertex_index:
                 raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
-            if (u, v) in arc_cost:
+            row, j = arc_cost[vertex_index[u]], vertex_index[v]
+            if j in row:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            arc_cost[u, v] = cost
-            successors[vertex_index[u]].append(vertex_index[v])
+            row[j] = cost
         object.__setattr__(self, "vertex_index", vertex_index)
-        object.__setattr__(self, "successors", tuple(tuple(sorted(s)) for s in successors))
+        object.__setattr__(self, "successors", tuple(tuple(sorted(row)) for row in arc_cost))
         object.__setattr__(self, "arc_cost", arc_cost)
 
     @property
@@ -82,7 +82,7 @@ class DirectedGraph:
         if self.costs is None:
             raise ValueError("graph has no arc costs")
         try:
-            return self.arc_cost[u, v]
+            return self.arc_cost[self.index(u)][self.index(v)]
         except KeyError:
             raise PathError(f"({u}, {v}) is not an arc of the graph") from None
 
@@ -130,8 +130,9 @@ def format_cost(cost: float) -> str:
 
 
 def validate_path(graph: DirectedGraph, path: VertexPath):
+    index = graph.vertex_index
     for u, v in zip(path.vertices, path.vertices[1:]):
-        if (u, v) not in graph.arc_cost:
+        if index.get(v) not in graph.arc_cost[graph.index(u)]:
             raise PathError(f"({u}, {v}) is not an arc of the graph")
 
 
@@ -212,9 +213,9 @@ def serialize_graph(graph: DirectedGraph) -> str:
     """Emit the edge-list format; arcs sorted by (source index, target index)."""
     names = graph.vertices
     lines = ["vertices: " + " ".join(names)]
-    for u, targets in zip(names, graph.successors):
-        for v in map(names.__getitem__, targets):
-            cost = graph.arc_cost[u, v]
+    for u, targets, row in zip(names, graph.successors, graph.arc_cost):
+        for j in targets:
+            v, cost = names[j], row[j]
             lines.append(f"{u} {v}" if cost is None else f"{u} {v} {format_cost(cost)}")
     return "\n".join(lines) + "\n"
 
@@ -232,21 +233,20 @@ def exact_costs(graph: DirectedGraph) -> tuple[int, ...]:
     return tuple(int(d.scaleb(shift)) for d in decimals)
 
 
-def path_cost(graph: DirectedGraph, path: VertexPath) -> float:
-    """Sum of the arc costs along the path, left to right: the printed
-    cost.  Comparisons between paths use `exact_costs`.
+def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> float:
+    """Sum of the arc costs along an index word, left to right from int 0:
+    the printed cost.  Comparisons between paths use `exact_costs`.
 
     The sum is accumulated explicitly: from Python 3.12 on, `sum()` of
     floats is compensated and can round differently."""
     if graph.costs is None:
         raise ValueError("graph has no arc costs")
     arc_cost = graph.arc_cost
-    vertices = path.vertices
     total = 0
     try:
-        for arc in zip(vertices, vertices[1:]):
-            total += arc_cost[arc]
+        for i, j in zip(word, word[1:]):
+            total += arc_cost[i][j]
     except KeyError:
-        u, v = arc
-        raise PathError(f"({u}, {v}) is not an arc of the graph") from None
+        names = graph.vertices
+        raise PathError(f"({names[i]}, {names[j]}) is not an arc of the graph") from None
     return total

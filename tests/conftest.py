@@ -57,6 +57,16 @@ def five_vertex_graph():
     return parse_graph(FIVE_VERTEX_TEXT)
 
 
+def rendered_words(graph: DirectedGraph, words) -> list[str]:
+    """Index words as path texts, "v1-v2-v3", in the order given."""
+    return ["-".join(graph.vertices[i] for i in w) for w in words]
+
+
+def word_of(graph: DirectedGraph, text: str) -> tuple[int, ...]:
+    """The index word of the path written `text`, "v1-v2-v3"."""
+    return tuple(graph.vertices.index(v) for v in text.split("-"))
+
+
 def random_graph(rng: random.Random, n: int, density: float) -> DirectedGraph:
     names = tuple(f"v{i}" for i in range(1, n + 1))
     arcs = tuple(

@@ -31,7 +31,7 @@ from latinpaths.enumeration import (
     latin_powers,
     optimal_hamiltonian,
 )
-from latinpaths.graph import VertexPath, path_cost
+from latinpaths.graph import path_cost
 from latinpaths.languages import lang_zero, language_of
 from latinpaths.semiring import language_semiring, mat_mul, mat_power_left, matrix
 from latinpaths.words import (
@@ -43,7 +43,7 @@ from latinpaths.words import (
     word_from_symbols,
 )
 
-from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
+from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, rendered_words, word_of
 
 
 def report(criterion, text):
@@ -112,18 +112,14 @@ def test_criterion_3_four_vertex_golden(four_vertex_graph):
     ]
     assert all(e.is_zero for row in powers.power(4).rows for e in row)
 
-    assert [
-        p.render() for p in elementary_paths(g, "v1", "v4", 2, powers).items
-    ] == ["v1-v2-v4", "v1-v3-v4"]
-    assert [
-        p.render() for p in elementary_paths(g, "v1", "v4", 3, powers).items
-    ] == ["v1-v2-v3-v4"]
-    assert [
-        p.render() for p in elementary_paths(g, "v2", "v4", 2, powers).items
-    ] == ["v2-v3-v4"]
+    assert rendered_words(g, elementary_paths(g, "v1", "v4", 2, powers)) == [
+        "v1-v2-v4", "v1-v3-v4"
+    ]
+    assert rendered_words(g, elementary_paths(g, "v1", "v4", 3, powers)) == ["v1-v2-v3-v4"]
+    assert rendered_words(g, elementary_paths(g, "v2", "v4", 2, powers)) == ["v2-v3-v4"]
     for start in g.vertices:
         for k in range(2, 5):
-            assert elementary_circuits(g, start, k, powers).items == ()
+            assert elementary_circuits(g, start, k, powers) == ()
     report(3, "4-vertex golden suite (adjacency cube, latin powers, queries)")
 
 
@@ -156,21 +152,21 @@ def test_criterion_4_five_vertex_golden(five_vertex_graph):
         oracle_paths.update(
             p.vertices for p in dfs_elementary_paths(g, u, v, 4).items
         )
-    assert {p.vertices for p in ham_paths} == oracle_paths
+    assert {tuple(p.split("-")) for p in rendered_words(g, ham_paths)} == oracle_paths
     assert len(ham_paths) == 11
     assert ("3", "2", "1", "5", "4") in oracle_paths
 
     circuits = hamiltonian_circuits(g, powers)
     assert len(circuits) == 5  # printed count is 4; see docstring
 
-    assert path_cost(g, VertexPath(("4", "5", "3", "2", "1"))) == 10
-    assert path_cost(g, VertexPath(("4", "3", "2", "5", "1"))) == 15
-    assert path_cost(g, VertexPath(("1", "5", "4", "3", "2", "1"))) == 16
+    assert path_cost(g, word_of(g, "4-5-3-2-1")) == 10
+    assert path_cost(g, word_of(g, "4-3-2-5-1")) == 15
+    assert path_cost(g, word_of(g, "1-5-4-3-2-1")) == 16
 
     best_max = optimal_hamiltonian(g, ham_paths, "max", start="4", end="1")
-    assert best_max[0].render() == "4-3-2-5-1" and best_max[1] == 15
+    assert best_max == (word_of(g, "4-3-2-5-1"), 15)
     best_min = optimal_hamiltonian(g, ham_paths, "min", start="4", end="1")
-    assert best_min[0].render() == "4-5-3-2-1" and best_min[1] == 10
+    assert best_min == (word_of(g, "4-5-3-2-1"), 10)
     report(4, "5-vertex golden suite (diagonal, Hamiltonian sets, costs; "
               "two printed figures corrected against the oracle)")
 

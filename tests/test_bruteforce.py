@@ -21,6 +21,8 @@ from latinpaths.cli import main
 from latinpaths.graph import DirectedGraph, serialize_graph, validate_path
 from latinpaths.semiring import mat_power_left
 
+from conftest import rendered_words
+
 # Deeper than the interpreter's default recursion limit of 1000.  The lcdl
 # kernel is O(n^3) here, so only the oracle answers these.
 DEEP = 1050
@@ -151,8 +153,10 @@ class TestHamiltonian:
     def test_matches_latin_powers(self, four_vertex_graph, five_vertex_graph, triangle):
         for g in (four_vertex_graph, five_vertex_graph, triangle):
             powers = latin_powers(g)
-            assert dfs_hamiltonian(g, "path") == hamiltonian_paths(g, powers)
-            assert dfs_hamiltonian(g, "circuit") == hamiltonian_circuits(g, powers)
+            paths = [p.render() for p in dfs_hamiltonian(g, "path")]
+            assert paths == rendered_words(g, hamiltonian_paths(g, powers))
+            circuits = [p.render() for p in dfs_hamiltonian(g, "circuit")]
+            assert circuits == rendered_words(g, hamiltonian_circuits(g, powers))
 
     def test_single_vertex(self):
         g = DirectedGraph(("a",), (("a", "a"),))

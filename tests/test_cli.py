@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinpaths import enumeration
 from latinpaths.cli import _emit_result, main
-from latinpaths.graph import DirectedGraph, VertexPath, format_cost, path_cost, serialize_graph
+from latinpaths.enumeration import WordLimitError, latin_powers
+from latinpaths.graph import DirectedGraph, format_cost, serialize_graph
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -101,6 +103,85 @@ class TestHamiltonian:
         payload = run_json("hamiltonian", four_file, "--kind", "path")
         assert payload["count"] == 1
         assert payload["items"][0]["vertices"] == ["v1", "v2", "v3", "v4"]
+
+
+def _stored_words(powers) -> list[int]:
+    """Words stored in each power of a `LatinPowerSequence`."""
+    return [sum(len(words) for row in power for words in row.values()) for power in powers.sparse]
+
+
+class TestPowersBuilt:
+    """`hamiltonian --kind path` reads power n-1 and builds no deeper; every
+    other command that reads latin powers builds all n."""
+
+    def test_depth_per_command(self, five_file, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            powers = latin_powers(*args, **kwargs)
+            built.append(len(powers.sparse))
+            return powers
+
+        monkeypatch.setattr(enumeration, "latin_powers", recording)
+        queries = {
+            ("hamiltonian", "--kind", "path"): 4,
+            ("hamiltonian", "--kind", "circuit"): 5,
+            ("paths", "-i", "1", "-j", "2", "-k", "3"): 5,
+            ("circuits", "-i", "1", "-k", "5"): 5,
+            ("matrix", "-k", "4"): 5,
+        }
+        for (command, *rest), depth in queries.items():
+            built.clear()
+            code, _, err = run_cli(command, five_file, *rest)
+            assert code == 0, err
+            assert built == [depth], command
+
+    def test_one_vertex_path_query_is_refused(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("vertices: a\na a\n")
+        for engine in ("lcdl", "oracle"):
+            code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", "--engine", engine)
+            error = "error: Hamiltonian paths need at least 2 vertices\n"
+            assert (code, out, err) == (2, "", error)
+
+
+def assert_path_guard_matches_full_powers(graph, path):
+    """At each limit L that is a power's word count or one less, the path
+    query exits 3 exactly when building all n powers under L fails, with
+    the same message, and power n holds no more words than power n-1."""
+    path.write_text(serialize_graph(graph))
+    counts = _stored_words(latin_powers(graph))
+    assert counts[-1] <= counts[-2], counts
+    for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
+        code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", "--limit", str(limit))
+        try:
+            latin_powers(graph, limit)
+        except WordLimitError as exc:
+            assert (code, out, err) == (3, "", f"error: {exc}\n"), (graph, limit)
+        else:
+            assert (code, err) == (0, ""), (graph, limit)
+
+
+class TestPathDepthGuard:
+    def test_corpus(self, corpus, tmp_path):
+        for graph in corpus:
+            assert_path_guard_matches_full_powers(graph, tmp_path / "graph.txt")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            )
+        )
+    )
+    def test_random_graphs_with_loops(self, tmp_path_factory, shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        graph = DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+        path = tmp_path_factory.mktemp("guard") / "graph.txt"
+        assert_path_guard_matches_full_powers(graph, path)
 
 
 class TestCount:
@@ -443,6 +524,28 @@ class TestDot:
         assert '"4" -> "5" [label="4", color="red", penwidth=2];' in text
         assert '"1" -> "2" [label="4"];' in text
 
+    def test_highlights_hamiltonian_arcs_on_both_engines(self, five_file, tmp_path):
+        # the five Hamiltonian circuits are the rotations of 1-5-4-3-2-1
+        texts = []
+        for engine in ("lcdl", "oracle"):
+            dot = tmp_path / f"{engine}.gv"
+            code, _, _ = run_cli(
+                "hamiltonian", five_file, "--kind", "circuit", "--engine", engine, "--dot", str(dot)
+            )
+            assert code == 0
+            texts.append(dot.read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        red = [line for line in lines if 'color="red"' in line]
+        assert red == [
+            '  "1" -> "5" [label="6", color="red", penwidth=2];',
+            '  "2" -> "1" [label="3", color="red", penwidth=2];',
+            '  "3" -> "2" [label="1", color="red", penwidth=2];',
+            '  "4" -> "3" [label="5", color="red", penwidth=2];',
+            '  "5" -> "4" [label="1", color="red", penwidth=2];',
+        ]
+        assert '  "1" -> "2" [label="4"];' in lines
+
     def test_escapes_quotes_and_backslashes(self, tmp_path):
         graph = tmp_path / "names.txt"
         graph.write_text('vertices: a"x b\\y\na"x b\\y 1.5\n')
@@ -491,10 +594,20 @@ class TestJsonContract:
                 assert lcdl_out == oracle_out, (query, fmt)
 
 
-def _item_json(graph, path):
+def _named_cost(graph, names):
+    """The arc costs along a path of vertex names, added left to right from
+    int 0, with the arcs looked up by name: independent of `path_cost`."""
+    named = dict(zip(graph.arcs, graph.costs))
+    total = 0
+    for arc in zip(names, names[1:]):
+        total = total + named[arc]
+    return total
+
+
+def _item_json(graph, names):
     """One item of the enumeration schema, as a dict for `json.dumps`."""
-    cost = path_cost(graph, path) if graph.costs is not None else None
-    return {"vertices": list(path.vertices), "length": path.length, "cost": cost}
+    cost = _named_cost(graph, names) if graph.costs is not None else None
+    return {"vertices": list(names), "length": len(names) - 1, "cost": cost}
 
 
 # Vertex names the parser would refuse or never produce, and costs whose
@@ -514,23 +627,24 @@ AWKWARD_COSTS = st.one_of(
 
 @st.composite
 def emitted_answers(draw):
-    """A graph built directly, walks along its arcs, and a query head."""
+    """A graph built directly, walks along its arcs as index words, and a
+    query head."""
     names = draw(st.lists(AWKWARD_NAMES, min_size=1, max_size=5, unique=True))
-    pairs = [(u, v) for u in names for v in names]
+    pairs = [(i, j) for i in range(len(names)) for j in range(len(names))]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
     costs = None
     if draw(st.booleans()):
         costs = tuple(draw(AWKWARD_COSTS) for _ in arcs)
-    graph = DirectedGraph(tuple(names), tuple(arcs), costs)
+    graph = DirectedGraph(tuple(names), tuple((names[i], names[j]) for i, j in arcs), costs)
     items = []
     for _ in range(draw(st.integers(0, 4)) if arcs else 0):
         walk = list(draw(st.sampled_from(arcs)))
         for _ in range(draw(st.integers(0, 4))):
-            successors = [v for u, v in arcs if u == walk[-1]]
+            successors = [j for i, j in arcs if i == walk[-1]]
             if not successors:
                 break
             walk.append(draw(st.sampled_from(successors)))
-        items.append(VertexPath(tuple(walk)))
+        items.append(tuple(walk))
     name_or_none = st.one_of(st.none(), st.sampled_from(names))
     query = draw(st.sampled_from([
         {"command": "paths", "source": draw(AWKWARD_NAMES), "target": names[0],
@@ -549,7 +663,7 @@ class TestEmitter:
         graph, query, items = answer
         payload = {
             "query": query,
-            "items": [_item_json(graph, p) for p in items],
+            "items": [_item_json(graph, [graph.vertices[i] for i in w]) for w in items],
             "count": len(items),
         }
         expected = json.dumps(payload, indent=2) + "\n"
@@ -559,10 +673,11 @@ class TestEmitter:
     @given(answer=emitted_answers())
     def test_text_lines(self, answer):
         graph, query, items = answer
+        paths = [[graph.vertices[i] for i in w] for w in items]
         if graph.costs is not None:
-            lines = [f"{p.render()} cost={format_cost(path_cost(graph, p))}" for p in items]
+            lines = [f"{'-'.join(p)} cost={format_cost(_named_cost(graph, p))}" for p in paths]
         else:
-            lines = [p.render() for p in items]
+            lines = ["-".join(p) for p in paths]
         expected = "".join(line + "\n" for line in lines) if items else "none\n"
         assert _emit_result(graph, query, items, "text", "none\n") == expected
 
@@ -570,11 +685,46 @@ class TestEmitter:
         # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
         path = tmp_path / "chain.txt"
         path.write_text("vertices: a b c d\na b 0.1\nb c 0.2\nc d 0.3\n")
-        code, out, _ = run_cli("hamiltonian", str(path), "--kind", "path")
-        assert (code, out) == (0, "a-b-c-d cost=0.6000000000000001\n")
         for engine in ("lcdl", "oracle"):
-            payload = run_json("optimal", str(path), "--kind", "path", "--engine", engine)
-            assert payload["items"][0]["cost"].hex() == (0.6000000000000001).hex()
+            for command in ("hamiltonian", "optimal"):
+                query = (command, str(path), "--kind", "path", "--engine", engine)
+                assert run_cli(*query) == (0, "a-b-c-d cost=0.6000000000000001\n", "")
+                code, out, _ = run_cli(*query, "--format", "json")
+                assert code == 0 and '"cost": 0.6000000000000001\n' in out
+                assert json.loads(out)["items"][0]["cost"].hex() == (0.6000000000000001).hex()
+
+    def test_negative_zero_costs_print_as_zero(self, tmp_path):
+        # the sum starts from int 0, and 0 + -0.0 is 0.0
+        path = tmp_path / "zeros.txt"
+        path.write_text("vertices: a b c\na b -0\nb c -0.0\n")
+        for engine in ("lcdl", "oracle"):
+            for command in ("hamiltonian", "optimal"):
+                query = (command, str(path), "--kind", "path", "--engine", engine)
+                assert run_cli(*query) == (0, "a-b-c cost=0\n", "")
+                code, out, _ = run_cli(*query, "--format", "json")
+                assert code == 0 and '"cost": 0.0\n' in out
+                assert json.loads(out)["items"][0]["cost"].hex() == (0.0).hex()
+
+    def test_empty_answers(self):
+        graph = DirectedGraph(("é", "\x1f"), (("é", "\x1f"),), (1.5,))
+        query = {"command": "optimal", "kind": "circuit", "objective": "min",
+                 "from": None, "to": None}
+        expected = json.dumps({"query": query, "items": [], "count": 0}, indent=2) + "\n"
+        assert _emit_result(graph, query, [], "json", "none\n") == expected
+        assert _emit_result(graph, query, [], "text", "none\n") == "none\n"
+        assert _emit_result(graph, query, [], "text", "") == ""
+
+    def test_names_beyond_ascii(self):
+        graph = DirectedGraph(("é", "\x1f", "中"), (("é", "\x1f"), ("\x1f", "中")), (1.5, -0.0))
+        query = {"command": "hamiltonian", "kind": "path"}
+        items = [(0, 1, 2)]
+        assert _emit_result(graph, query, items, "text", "") == "é-\x1f-中 cost=1.5\n"
+        payload = {
+            "query": query,
+            "items": [{"vertices": ["é", "\x1f", "中"], "length": 2, "cost": 1.5}],
+            "count": 1,
+        }
+        assert _emit_result(graph, query, items, "json", "") == json.dumps(payload, indent=2) + "\n"
 
 
 # Argument vocabulary of the fuzz test: known and unknown vertex names,

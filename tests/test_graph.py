@@ -18,6 +18,8 @@ from latinpaths.graph import (
     serialize_graph,
 )
 
+from conftest import word_of
+
 
 class TestParse:
     def test_four_vertex(self, four_vertex_graph):
@@ -187,16 +189,19 @@ class TestIndex:
     @given(st.data())
     def test_agrees_with_arcs_and_costs(self, data):
         """`successors` lists each vertex's arc targets by declaration
-        index, and `arc_cost` maps each arc to its cost, or to None."""
+        index, and `arc_cost` maps each arc, per source index and then
+        target index, to its cost, or to None, in arc order."""
         names = data.draw(st.permutations(["c", "a", "e", "b", "d"]))[: data.draw(st.integers(1, 5))]
         arcs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), unique=True))
         costs = data.draw(st.none() | st.tuples(*(st.floats(allow_nan=False) for _ in arcs)))
         graph = DirectedGraph(tuple(names), tuple(arcs), costs)
         for i, u in enumerate(names):
             assert graph.successors[i] == tuple(j for j, v in enumerate(names) if (u, v) in arcs)
-        assert list(graph.arc_cost) == arcs
-        for a, arc in enumerate(arcs):
-            assert graph.arc_cost[arc] is (None if costs is None else costs[a])
+        for i, u in enumerate(names):
+            assert list(graph.arc_cost[i]) == [names.index(v) for w, v in arcs if w == u]
+        for a, (u, v) in enumerate(arcs):
+            cost = graph.arc_cost[names.index(u)][names.index(v)]
+            assert cost is (None if costs is None else costs[a])
 
 
 class TestAdjacencyMatrix:
@@ -255,35 +260,35 @@ class TestLatinMatrix:
 
 class TestPathCost:
     def test_sum_examples(self, five_vertex_graph):
-        assert path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "2", "1"))) == 10
-        assert path_cost(five_vertex_graph, VertexPath(("4", "3", "2", "5", "1"))) == 15
+        assert path_cost(five_vertex_graph, word_of(five_vertex_graph, "4-5-3-2-1")) == 10
+        assert path_cost(five_vertex_graph, word_of(five_vertex_graph, "4-3-2-5-1")) == 15
 
     def test_single_arc(self, five_vertex_graph):
-        assert path_cost(five_vertex_graph, VertexPath(("5", "4"))) == 1
+        assert path_cost(five_vertex_graph, word_of(five_vertex_graph, "5-4")) == 1
 
     def test_missing_costs(self, four_vertex_graph):
         with pytest.raises(ValueError):
-            path_cost(four_vertex_graph, VertexPath(("v1", "v2")))
+            path_cost(four_vertex_graph, (0, 1))
 
     def test_invalid_path(self, five_vertex_graph):
-        with pytest.raises(PathError):
-            path_cost(five_vertex_graph, VertexPath(("2", "3")))
-        with pytest.raises(PathError):
-            path_cost(five_vertex_graph, VertexPath(("4", "5", "3", "1")))
+        with pytest.raises(PathError, match=r"^\(2, 3\) is not an arc of the graph$"):
+            path_cost(five_vertex_graph, word_of(five_vertex_graph, "2-3"))
+        with pytest.raises(PathError, match=r"^\(3, 1\) is not an arc"):
+            path_cost(five_vertex_graph, word_of(five_vertex_graph, "4-5-3-1"))
         with pytest.raises(PathError):
             five_vertex_graph.cost_of("2", "3")
 
     def test_left_to_right_on_every_python(self):
         # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
         g = DirectedGraph(tuple("abcd"), (("a", "b"), ("b", "c"), ("c", "d")), (0.1, 0.2, 0.3))
-        assert path_cost(g, VertexPath(tuple("abcd"))).hex() == (0.6000000000000001).hex()
+        assert path_cost(g, (0, 1, 2, 3)).hex() == (0.6000000000000001).hex()
 
     def test_matches_the_cost_of_sum_on_the_corpus(self, corpus):
         rng = random.Random(20260)
         awkward = (0.1, 0.2, 0.3, -0.0, 0.0, 1e16, 1e-07, -2.5, 1e300, -1e300, 3.0)
         for plain in corpus:
             with pytest.raises(ValueError):
-                path_cost(plain, VertexPath(plain.vertices[:2]))
+                path_cost(plain, (0, 1))
             if not plain.arcs:
                 continue
             costs = tuple(
@@ -291,25 +296,29 @@ class TestPathCost:
                 for _ in plain.arcs
             )
             g = DirectedGraph(plain.vertices, plain.arcs, costs)
+            # the expected side reads the arcs by name, not the index table
+            named = dict(zip(g.arcs, costs))
             successors = {v: [w for u, w in g.arcs if u == v] for v in g.vertices}
             for _ in range(20):
                 walk = [rng.choice(g.arcs)[0]]
                 while len(walk) < 2 or (successors[walk[-1]] and rng.random() < 0.8):
                     walk.append(rng.choice(successors[walk[-1]]))
-                path = VertexPath(tuple(walk))
-                terms = [g.cost_of(u, v) for u, v in zip(walk, walk[1:])]
+                word = tuple(g.vertices.index(v) for v in walk)
+                terms = [named[u, v] for u, v in zip(walk, walk[1:])]
                 expected = 0
                 for term in terms:
                     expected = expected + term
-                assert path_cost(g, path).hex() == float(expected).hex()
+                assert path_cost(g, word).hex() == float(expected).hex()
                 if sys.version_info < (3, 12):  # the former sum(), uncompensated there
-                    assert path_cost(g, path).hex() == float(sum(terms)).hex()
+                    assert path_cost(g, word).hex() == float(sum(terms)).hex()
             missing = next(
-                ((u, v) for u in g.vertices for v in g.vertices if (u, v) not in g.arcs), None
+                ((i, j) for i in range(g.n) for j in range(g.n)
+                 if (g.vertices[i], g.vertices[j]) not in named),
+                None,
             )
             if missing is not None:
                 with pytest.raises(PathError):
-                    path_cost(g, VertexPath(missing))
+                    path_cost(g, missing)
 
 
 class TestExactCosts:
