@@ -2,12 +2,31 @@
 
 This module deliberately shares nothing with the matrix-power engine beyond
 the graph module: results produced here are used as independent ground truth
-in the test suite and behind the CLI's --engine oracle flag.
+in the test suite and behind the CLI's --engine oracle flag.  Every
+enumeration answers, as the kernel's queries do, with index words (tuples
+of vertex indices) in canonical order, which is tuple order.
 """
 
 from __future__ import annotations
 
-from .graph import DirectedGraph, EnumerationResult, VertexPath
+from dataclasses import dataclass
+
+from .graph import DirectedGraph, VertexPath
+
+
+@dataclass(frozen=True, slots=True)
+class EnumerationResult:
+    """The answer of `dfs_elementary_paths` or `dfs_elementary_circuits`."""
+
+    words: tuple[tuple[int, ...], ...]  # canonical order
+    vertices: tuple[str, ...]  # the graph's, to decode `words`
+
+    @property
+    def items(self) -> tuple[VertexPath, ...]:
+        """`words` decoded to names.  Only `bench/run.py::matrix_output`
+        reads it; it goes once the benchmark reads `words`."""
+        name = self.vertices.__getitem__
+        return tuple(VertexPath(tuple(map(name, w))) for w in self.words)
 
 
 def _simple_paths_from(graph: DirectedGraph, source: int, max_len: int):
@@ -45,7 +64,7 @@ def dfs_elementary_paths(
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
     hits = (p for p in _simple_paths_from(graph, s, k) if len(p) == k + 1 and p[-1] == t)
-    return EnumerationResult("path", source, target, k, tuple(graph.canonical_paths(hits)))
+    return EnumerationResult(tuple(sorted(hits)), graph.vertices)
 
 
 def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
@@ -60,7 +79,7 @@ def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> Enumera
             p + (s,) for p in _simple_paths_from(graph, s, k - 1)
             if len(p) == k and s in succ[p[-1]]
         ]
-    return EnumerationResult("circuit", start, start, k, tuple(graph.canonical_paths(hits)))
+    return EnumerationResult(tuple(sorted(hits)), graph.vertices)
 
 
 def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
@@ -82,33 +101,32 @@ def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) 
 
 def enumerate_all_elementary(
     graph: DirectedGraph,
-) -> dict[tuple[str, str, int], set[tuple[str, ...]]]:
-    """Every elementary path and anchored circuit in one sweep, keyed by
-    (source, target, arc-length).  One DFS per source vertex."""
-    succ, name = graph.successors, graph.vertices.__getitem__
-    out: dict[tuple[str, str, int], set[tuple[str, ...]]] = {}
-    for s, source in enumerate(graph.vertices):
+) -> dict[tuple[int, int, int], set[tuple[int, ...]]]:
+    """Every elementary path and anchored circuit in one sweep, as index
+    words keyed by (source index, target index, arc-length).  One DFS per
+    source vertex."""
+    succ = graph.successors
+    out: dict[tuple[int, int, int], set[tuple[int, ...]]] = {}
+    for s in range(graph.n):
         if s in succ[s]:
-            out.setdefault((source, source, 1), set()).add((source, source))
+            out.setdefault((s, s, 1), set()).add((s, s))
         for p in _simple_paths_from(graph, s, graph.n - 1):
-            k, names = len(p) - 1, tuple(map(name, p))
-            out.setdefault((source, names[-1], k), set()).add(names)
+            k = len(p) - 1
+            out.setdefault((s, p[-1], k), set()).add(p)
             if s in succ[p[-1]]:
-                out.setdefault((source, source, k + 1), set()).add(names + (source,))
+                out.setdefault((s, s, k + 1), set()).add(p + (s,))
     return out
 
 
-def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[VertexPath]:
+def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[tuple[int, ...]]:
     """Every Hamiltonian path (kind "path", arc-length n-1) or circuit (kind
-    "circuit", arc-length n) in canonical order: paths by a walk from each
-    source to depth n-1, circuits closed at n by dfs_elementary_circuits
-    from each start."""
+    "circuit", arc-length n) as index words in canonical order: paths by a
+    walk from each source to depth n-1, circuits closed at n by
+    dfs_elementary_circuits from each start."""
     n = graph.n
     if kind == "circuit":
         # circuits from v_i come before those from v_{i+1} in canonical order
-        return [p for s in graph.vertices for p in dfs_elementary_circuits(graph, s, n).items]
+        return [w for s in graph.vertices for w in dfs_elementary_circuits(graph, s, n).words]
     if n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
-    return graph.canonical_paths(
-        p for s in range(n) for p in _simple_paths_from(graph, s, n - 1) if len(p) == n
-    )
+    return sorted(p for s in range(n) for p in _simple_paths_from(graph, s, n - 1) if len(p) == n)

@@ -215,18 +215,14 @@ def _optimal(best) -> list[enumeration.Word]:
     return [best[0]] if best is not None else []
 
 
-def _words(graph: DirectedGraph, paths) -> list[enumeration.Word]:
-    """The oracle's paths as index words, in the order given."""
-    index = graph.vertex_index.__getitem__
-    return [tuple(map(index, p.vertices)) for p in paths]
+def _oracle_paths(
+    graph: DirectedGraph, source: str, target: str, k: int
+) -> tuple[enumeration.Word, ...]:
+    return bruteforce.dfs_elementary_paths(graph, source, target, k).words
 
 
-def _oracle_paths(graph: DirectedGraph, source: str, target: str, k: int) -> list[enumeration.Word]:
-    return _words(graph, bruteforce.dfs_elementary_paths(graph, source, target, k).items)
-
-
-def _oracle_circuits(graph: DirectedGraph, start: str, k: int) -> list[enumeration.Word]:
-    return _words(graph, bruteforce.dfs_elementary_circuits(graph, start, k).items)
+def _oracle_circuits(graph: DirectedGraph, start: str, k: int) -> tuple[enumeration.Word, ...]:
+    return bruteforce.dfs_elementary_circuits(graph, start, k).words
 
 
 _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
@@ -249,7 +245,7 @@ _ENUMERATIONS = {
     ),
     "hamiltonian": (
         _hamiltonian,
-        lambda g, a: _words(g, bruteforce.dfs_hamiltonian(g, a.kind)),
+        lambda g, a: bruteforce.dfs_hamiltonian(g, a.kind),
         (("kind", "kind"),),
         "",
     ),
@@ -257,7 +253,7 @@ _ENUMERATIONS = {
         lambda g, a: _optimal(enumeration.held_karp(
             g, a.kind, a.objective, a.start, a.end, a.limit)),
         lambda g, a: _optimal(enumeration.optimal_hamiltonian(
-            g, _words(g, bruteforce.dfs_hamiltonian(g, a.kind)), a.objective, a.start, a.end)),
+            g, bruteforce.dfs_hamiltonian(g, a.kind), a.objective, a.start, a.end)),
         (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
         "none\n",
     ),

@@ -72,12 +72,6 @@ class DirectedGraph:
         except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
-    def canonical_paths(self, index_paths) -> list[VertexPath]:
-        """Vertex-index tuples as paths in canonical order: lexicographic by
-        declaration index."""
-        name = self.vertices.__getitem__
-        return [VertexPath(tuple(map(name, p))) for p in sorted(index_paths)]
-
     def cost_of(self, u: str, v: str) -> float:
         if self.costs is None:
             raise ValueError("graph has no arc costs")
@@ -98,42 +92,10 @@ class VertexPath:
         if len(self.vertices) < 2:
             raise PathError("a path needs at least two vertices")
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def is_elementary_path(self) -> bool:
-        return len(set(self.vertices)) == len(self.vertices)
-
-    def is_elementary_circuit(self) -> bool:
-        interior = self.vertices[:-1]
-        return self.vertices[0] == self.vertices[-1] and len(set(interior)) == len(
-            interior
-        )
-
-    def render(self) -> str:
-        return "-".join(self.vertices)
-
-
-@dataclass(frozen=True, slots=True)
-class EnumerationResult:
-    kind: str  # "path" or "circuit"
-    source: str
-    target: str
-    length: int
-    items: tuple[VertexPath, ...]  # canonical order
-
 
 def format_cost(cost: float) -> str:
     """Cost text: integral values without a fractional part."""
     return str(int(cost)) if float(cost).is_integer() else repr(cost)
-
-
-def validate_path(graph: DirectedGraph, path: VertexPath):
-    index = graph.vertex_index
-    for u, v in zip(path.vertices, path.vertices[1:]):
-        if index.get(v) not in graph.arc_cost[graph.index(u)]:
-            raise PathError(f"({u}, {v}) is not an arc of the graph")
 
 
 def parse_graph(text: str) -> DirectedGraph:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from latinpaths import enumeration
 from latinpaths.cli import _emit_result, main
 from latinpaths.enumeration import WordLimitError, latin_powers
-from latinpaths.graph import DirectedGraph, format_cost, serialize_graph
+from latinpaths.graph import DirectedGraph, VertexPath, format_cost, serialize_graph
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -558,6 +558,37 @@ class TestDot:
         assert '  "a\\"x";' in lines
         assert '  "b\\\\y";' in lines
         assert '  "a\\"x" -> "b\\\\y" [label="1.5", color="red", penwidth=2];' in lines
+
+
+class TestOracle:
+    QUERIES = (
+        ("paths", "-i", "4", "-j", "1", "-k", "3"),
+        ("circuits", "-i", "1", "-k", "5"),
+        ("hamiltonian", "--kind", "path"),
+        ("hamiltonian", "--kind", "circuit"),
+        ("optimal", "--kind", "path"),
+        ("optimal", "--kind", "circuit"),
+        *(("matrix", "-k", str(k)) for k in range(1, 6)),
+    )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_builds_no_vertex_path(self, five_file, monkeypatch, fmt):
+        """The oracle answers with index words from the walk to the output."""
+        queries = [
+            (command, five_file, *rest, "--engine", "oracle", "--format", fmt)
+            for command, *rest in self.QUERIES
+        ]
+        expected = [run_cli(*query) for query in queries]
+
+        def refuse(self):
+            raise AssertionError("VertexPath built")
+
+        monkeypatch.setattr(VertexPath, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            VertexPath(("1", "2"))
+        for query, (code, out, err) in zip(queries, expected):
+            assert code == 0 and out, (query, err)
+            assert run_cli(*query) == (code, out, err), query
 
 
 class TestJsonContract:

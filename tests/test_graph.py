@@ -348,15 +348,3 @@ class TestVertexPath:
     def test_too_short(self):
         with pytest.raises(PathError):
             VertexPath(("a",))
-
-    def test_elementary_forms(self):
-        assert VertexPath(("a", "b", "c")).is_elementary_path()
-        assert not VertexPath(("a", "b", "a")).is_elementary_path()
-        assert VertexPath(("a", "b", "a")).is_elementary_circuit()
-        assert not VertexPath(("a", "b", "c")).is_elementary_circuit()
-
-    def test_length(self):
-        assert VertexPath(("a", "b", "c")).length == 2
-
-    def test_render(self):
-        assert VertexPath(("v1", "v2", "v4")).render() == "v1-v2-v4"
