@@ -198,19 +198,6 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         handle.write("\n".join(lines) + "\n")
 
 
-def _powers(graph: DirectedGraph, args, depth=None) -> enumeration.LatinPowerSequence:
-    return enumeration.latin_powers(graph, args.limit, depth)
-
-
-def _hamiltonian(graph: DirectedGraph, args) -> list[enumeration.Word]:
-    if args.kind == "circuit":
-        return enumeration.hamiltonian_circuits(graph, _powers(graph, args))
-    # Paths read power n-1 only, and power n never holds more words than
-    # power n-1, so stopping there changes no guard outcome.  A graph of
-    # one vertex has no power 0; hamiltonian_paths refuses it.
-    return enumeration.hamiltonian_paths(graph, _powers(graph, args, max(graph.n - 1, 1)))
-
-
 def _optimal(best) -> list[enumeration.Word]:
     return [best[0]] if best is not None else []
 
@@ -232,19 +219,19 @@ _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 # found).  Both calls return the paths as index words in canonical order.
 _ENUMERATIONS = {
     "paths": (
-        lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, _powers(g, a)),
+        lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, a.limit),
         lambda g, a: _oracle_paths(g, a.i, a.j, a.k),
         _PAIR_FIELDS,
         "",
     ),
     "circuits": (
-        lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, _powers(g, a)),
+        lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, a.limit),
         lambda g, a: _oracle_circuits(g, a.i, a.k),
         (("start", "i"), ("length", "k")),
         "",
     ),
     "hamiltonian": (
-        _hamiltonian,
+        lambda g, a: enumeration.hamiltonian(g, a.kind, a.limit),
         lambda g, a: bruteforce.dfs_hamiltonian(g, a.kind),
         (("kind", "kind"),),
         "",
@@ -253,7 +240,7 @@ _ENUMERATIONS = {
         lambda g, a: _optimal(enumeration.held_karp(
             g, a.kind, a.objective, a.start, a.end, a.limit)),
         lambda g, a: _optimal(enumeration.optimal_hamiltonian(
-            g, bruteforce.dfs_hamiltonian(g, a.kind), a.objective, a.start, a.end)),
+            g, a.kind, bruteforce.dfs_hamiltonian, a.objective, a.start, a.end)),
         (("kind", "kind"), ("objective", "objective"), ("from", "start"), ("to", "end")),
         "none\n",
     ),
@@ -306,23 +293,21 @@ def _render_entry(graph: DirectedGraph, words) -> str:
 def _run_matrix(args) -> str:
     graph = _load_graph(args.file)
     n, k, names = graph.n, args.k, graph.vertices
-    if not 1 <= k <= n:
-        raise ValueError(f"power {k} out of range 1..{n}")
     if args.engine == "oracle":
-        circuits, paths = _oracle_circuits, _oracle_paths
+        if not 1 <= k <= n:
+            raise ValueError(f"power {k} out of range 1..{n}")
+        # off the diagonal of power n: an n-arc path needs n+1 distinct vertices
+        entries = [
+            [
+                _oracle_circuits(graph, u, k) if u == v
+                else _oracle_paths(graph, u, v, k) if k < n else ()
+                for v in names
+            ]
+            for u in names
+        ]
     else:
-        powers = _powers(graph, args)
-        circuits = functools.partial(enumeration.elementary_circuits, powers=powers)
-        paths = functools.partial(enumeration.elementary_paths, powers=powers)
-
-    def entry(i, j):
-        if i == j:
-            return circuits(graph, names[i], k)
-        if k == n:  # an n-arc path needs n+1 distinct vertices
-            return ()
-        return paths(graph, names[i], names[j], k)
-
-    rendered = [[_render_entry(graph, entry(i, j)) for j in range(n)] for i in range(n)]
+        entries = enumeration.power_entries(graph, k, args.limit)
+    rendered = [[_render_entry(graph, words) for words in row] for row in entries]
     if args.format == "json":
         return _json({"query": {"command": "matrix", "k": k}, "rows": rendered})
     widths = [max(len(r[j]) for r in rendered) for j in range(n)]

@@ -3,12 +3,12 @@
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
 elementary circuits).  `latin_powers` computes powers 1..depth in one call,
-all n by default, and returns them; each query reads its words straight off
-the powers it is given, as sorted index words (`Word`), and builds no
+all n by default, and returns them.  Each query checks its arguments first
+and only then calls `latin_powers` itself, to the depth it reads: n-1 for
+Hamiltonian paths, n for every other query.  It reads its words straight
+off the powers it built, as sorted index words (`Word`), and builds no
 object per answer: names and costs are looked up per vertex index only when
-the CLI writes the answer.  Nothing is cached across calls: every CLI query
-builds its own powers, and a Hamiltonian path query builds them only to
-power n-1, the one it reads.
+the CLI writes the answer.  Nothing is cached across calls.
 
 `latin_powers` is a kernel specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
@@ -25,7 +25,7 @@ the arcs, `reference_powers` computes its left powers, and
 `LatinPowerSequence.power` rebuilds a kernel power in that representation,
 on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
 every power, built on demand for readers that walk whole powers.  The
-`matrix` command reads a power entry by entry, as the other queries do.
+`matrix` command reads every entry of one power (`power_entries`).
 The adjacency matrix over the naturals is the reference for
 `count_paths`.
 
@@ -39,7 +39,7 @@ enumeration and is its reference.  Both compare costs exactly, as integers
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .graph import DirectedGraph, VertexPath, exact_costs, path_cost
@@ -250,7 +250,7 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 
 
 def elementary_paths(
-    graph: DirectedGraph, source: str, target: str, k: int, powers: LatinPowerSequence
+    graph: DirectedGraph, source: str, target: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
     """The elementary paths of arc-length k from source to target, as index
     words in canonical order."""
@@ -259,28 +259,39 @@ def elementary_paths(
         raise ValueError("source equals target; a path needs distinct endpoints")
     if not 1 <= k <= graph.n - 1:
         raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
-    return tuple(powers.words(k, i, j))
+    return tuple(latin_powers(graph, word_limit).words(k, i, j))
 
 
 def elementary_circuits(
-    graph: DirectedGraph, start: str, k: int, powers: LatinPowerSequence
+    graph: DirectedGraph, start: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
     """The elementary circuits of arc-length k through start, anchored there,
     as index words in canonical order."""
     i = graph.index(start)
     if not 1 <= k <= graph.n:
         raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
-    return tuple(powers.words(k, i, i))
+    return tuple(latin_powers(graph, word_limit).words(k, i, i))
 
 
-def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[Word]:
+def power_entries(
+    graph: DirectedGraph, k: int, word_limit: int = DEFAULT_WORD_LIMIT
+) -> list[list[Sequence[Word]]]:
+    """Every entry of the k-th power: rows[i][j] holds the words of entry
+    (i, j) in canonical order."""
+    if not 1 <= k <= graph.n:
+        raise ValueError(f"power {k} out of range 1..{graph.n}")
+    return latin_powers(graph, word_limit)._dense(k)
+
+
+def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
-    off-diagonal words of power n-1, which is the deepest power the
-    query needs."""
+    off-diagonal words of power n-1, the deepest power built.  Power n
+    never holds more words than power n-1, so stopping there changes no
+    guard outcome."""
     if graph.n < 2:
         raise ValueError("Hamiltonian paths need at least 2 vertices")
     found = []
-    for i, row in enumerate(powers.sparse[graph.n - 2]):
+    for i, row in enumerate(latin_powers(graph, word_limit, graph.n - 1).sparse[-1]):
         for j, words in row.items():
             if j != i:
                 found += words
@@ -289,14 +300,22 @@ def hamiltonian_paths(graph: DirectedGraph, powers: LatinPowerSequence) -> list[
     return found
 
 
-def hamiltonian_circuits(graph: DirectedGraph, powers: LatinPowerSequence) -> list[Word]:
+def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary circuit of arc-length n, anchored per start vertex,
     in canonical order: the diagonal of power n, whose entry (i, i) holds
     the words that start at v_i."""
-    found = []
-    for i in range(graph.n):
-        found += powers.words(graph.n, i, i)
-    return found
+    top = latin_powers(graph, word_limit).sparse[-1]
+    return [w for i, row in enumerate(top) for w in row.get(i, ())]
+
+
+def hamiltonian(
+    graph: DirectedGraph, kind: str, word_limit: int = DEFAULT_WORD_LIMIT
+) -> list[Word]:
+    """Every Hamiltonian path (kind "path") or circuit ("circuit"), as
+    `hamiltonian_paths` or `hamiltonian_circuits` lists them."""
+    if kind == "circuit":
+        return hamiltonian_circuits(graph, word_limit)
+    return hamiltonian_paths(graph, word_limit)
 
 
 def max_length_elementary(
@@ -304,19 +323,16 @@ def max_length_elementary(
     source: str,
     target: str | None = None,
     *,
-    powers: LatinPowerSequence,
+    word_limit: int = DEFAULT_WORD_LIMIT,
 ) -> tuple[int, tuple[Word, ...]] | None:
     """Longest nonempty elementary enumeration, or None when no elementary
     path (circuit when target is omitted or equals source) exists at all."""
-    circuit = target is None or target == source
-    top = graph.n if circuit else graph.n - 1
-    for k in range(top, 0, -1):
-        if circuit:
-            words = elementary_circuits(graph, source, k, powers)
-        else:
-            words = elementary_paths(graph, source, target, k, powers)
-        if words:
-            return k, words
+    i = graph.index(source)
+    j = i if target is None else graph.index(target)
+    powers = latin_powers(graph, word_limit)
+    for k in range(graph.n if i == j else graph.n - 1, 0, -1):
+        if words := powers.words(k, i, j):
+            return k, tuple(words)
     return None
 
 
@@ -343,13 +359,20 @@ def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int
     return mat_power_left(adjacency_matrix(graph), k).rows[i][j]
 
 
-def _signed(graph: DirectedGraph, objective: str) -> int:
-    """1 for "min", -1 for "max": exact costs times this are minimised."""
+def _selection(
+    graph: DirectedGraph, kind: str, objective: str, start: str | None, end: str | None
+) -> tuple[int, int | None, int | None]:
+    """The checks of an optimal query, in the order both selections report
+    them, before any candidate is built: the sign that makes the objective
+    a minimum (1 for "min", -1 for "max") and the indices of the ends."""
+    if kind == "path" and graph.n < 2:
+        raise ValueError("Hamiltonian paths need at least 2 vertices")
     if graph.costs is None:
         raise ValueError("optimal selection needs arc costs")
     if objective not in ("min", "max"):
         raise ValueError(f"unknown objective {objective!r}")
-    return 1 if objective == "min" else -1
+    s, t = (None if name is None else graph.index(name) for name in (start, end))
+    return (1 if objective == "min" else -1), s, t
 
 
 def _exact_arc_costs(graph: DirectedGraph) -> dict[tuple[int, int], int]:
@@ -362,22 +385,24 @@ def _exact_arc_costs(graph: DirectedGraph) -> dict[tuple[int, int], int]:
 
 def optimal_hamiltonian(
     graph: DirectedGraph,
-    candidates: Sequence[Word],
+    kind: str,
+    candidates: Callable[[DirectedGraph, str], Sequence[Word]],
     objective: str = "min",
     start: str | None = None,
     end: str | None = None,
 ) -> tuple[Word, float] | None:
-    """The cheapest (objective "min") or dearest ("max") of `candidates`,
-    the Hamiltonian paths or circuits as index words in canonical order,
-    among those that start at `start` and end at `end` (a circuit ends
-    where it starts), with its cost; None when no candidate is left.  Costs
-    compare exactly (`exact_costs`); ties go to the first candidate in
-    canonical order."""
-    sign = _signed(graph, objective)
-    s, t = (None if name is None else graph.index(name) for name in (start, end))
+    """The cheapest (objective "min") or dearest ("max") Hamiltonian path
+    (kind "path") or circuit ("circuit") among those that start at `start`
+    and end at `end` (a circuit ends where it starts), with its cost; None
+    when there is none.  The candidates are `candidates(graph, kind)`, index
+    words in canonical order (`hamiltonian`, or the oracle's
+    `dfs_hamiltonian`), listed only once the arguments are checked.
+    Costs compare exactly (`exact_costs`); ties go to the first candidate
+    in canonical order."""
+    sign, s, t = _selection(graph, kind, objective, start, end)
     exact = _exact_arc_costs(graph)
     kept = (
-        w for w in candidates
+        w for w in candidates(graph, kind)
         if (s is None or w[0] == s) and (t is None or w[-1] == t)
     )
     # min returns the first smallest item
@@ -412,10 +437,7 @@ def held_karp(
     costs the same, and every Hamiltonian circuit passes v_1, so the
     canonically first optimum starts there.  `word_limit` bounds the
     entries of each power, as in `latin_powers`."""
-    if kind == "path" and graph.n < 2:
-        raise ValueError("Hamiltonian paths need at least 2 vertices")
-    sign = _signed(graph, objective)
-    s, t = (None if name is None else graph.index(name) for name in (start, end))
+    sign, s, t = _selection(graph, kind, objective, start, end)
     n, circuit = graph.n, kind == "circuit"
     if circuit:
         if s is not None and t is not None and s != t:

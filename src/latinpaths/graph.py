@@ -72,14 +72,6 @@ class DirectedGraph:
         except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
-    def cost_of(self, u: str, v: str) -> float:
-        if self.costs is None:
-            raise ValueError("graph has no arc costs")
-        try:
-            return self.arc_cost[self.index(u)][self.index(v)]
-        except KeyError:
-            raise PathError(f"({u}, {v}) is not an arc of the graph") from None
-
 
 @dataclass(frozen=True, slots=True)
 class VertexPath:

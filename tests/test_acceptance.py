@@ -25,6 +25,7 @@ from latinpaths.enumeration import (
     adjacency_matrix,
     elementary_circuits,
     elementary_paths,
+    hamiltonian,
     hamiltonian_circuits,
     hamiltonian_paths,
     latin_matrix,
@@ -112,14 +113,14 @@ def test_criterion_3_four_vertex_golden(four_vertex_graph):
     ]
     assert all(e.is_zero for row in powers.power(4).rows for e in row)
 
-    assert rendered_words(g, elementary_paths(g, "v1", "v4", 2, powers)) == [
+    assert rendered_words(g, elementary_paths(g, "v1", "v4", 2)) == [
         "v1-v2-v4", "v1-v3-v4"
     ]
-    assert rendered_words(g, elementary_paths(g, "v1", "v4", 3, powers)) == ["v1-v2-v3-v4"]
-    assert rendered_words(g, elementary_paths(g, "v2", "v4", 2, powers)) == ["v2-v3-v4"]
+    assert rendered_words(g, elementary_paths(g, "v1", "v4", 3)) == ["v1-v2-v3-v4"]
+    assert rendered_words(g, elementary_paths(g, "v2", "v4", 2)) == ["v2-v3-v4"]
     for start in g.vertices:
         for k in range(2, 5):
-            assert elementary_circuits(g, start, k, powers) == ()
+            assert elementary_circuits(g, start, k) == ()
     report(3, "4-vertex golden suite (adjacency cube, latin powers, queries)")
 
 
@@ -146,7 +147,7 @@ def test_criterion_4_five_vertex_golden(five_vertex_graph):
 
     # the off-diagonal entries of the 4th power, verified against the oracle:
     # 11 Hamiltonian paths, including the omitted 3-2-1-5-4
-    ham_paths = hamiltonian_paths(g, powers)
+    ham_paths = hamiltonian_paths(g)
     oracle_paths = set()
     for u, v in itertools.permutations(g.vertices, 2):
         oracle_paths.update(dfs_elementary_paths(g, u, v, 4).words)
@@ -154,16 +155,16 @@ def test_criterion_4_five_vertex_golden(five_vertex_graph):
     assert len(ham_paths) == 11
     assert word_of(g, "3-2-1-5-4") in oracle_paths
 
-    circuits = hamiltonian_circuits(g, powers)
+    circuits = hamiltonian_circuits(g)
     assert len(circuits) == 5  # printed count is 4; see docstring
 
     assert path_cost(g, word_of(g, "4-5-3-2-1")) == 10
     assert path_cost(g, word_of(g, "4-3-2-5-1")) == 15
     assert path_cost(g, word_of(g, "1-5-4-3-2-1")) == 16
 
-    best_max = optimal_hamiltonian(g, ham_paths, "max", start="4", end="1")
+    best_max = optimal_hamiltonian(g, "path", hamiltonian, "max", start="4", end="1")
     assert best_max == (word_of(g, "4-3-2-5-1"), 15)
-    best_min = optimal_hamiltonian(g, ham_paths, "min", start="4", end="1")
+    best_min = optimal_hamiltonian(g, "path", hamiltonian, "min", start="4", end="1")
     assert best_min == (word_of(g, "4-5-3-2-1"), 10)
     report(4, "5-vertex golden suite (diagonal, Hamiltonian sets, costs; "
               "two printed figures corrected against the oracle)")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinpaths import enumeration
+from latinpaths import bruteforce, enumeration
 from latinpaths.cli import _emit_result, main
 from latinpaths.enumeration import WordLimitError, latin_powers
 from latinpaths.graph import DirectedGraph, VertexPath, format_cost, serialize_graph
@@ -413,6 +413,58 @@ class TestErrorsAndGuards:
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {argv[-2]} " in err
         assert not dot.exists()
+
+    @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
+    @pytest.mark.parametrize("graph, argv, message", [
+        pytest.param("four", ("paths", "-i", "v1", "-j", "nope", "-k", "2"),
+                     "unknown vertex 'nope'", id="paths-unknown-vertex"),
+        pytest.param("four", ("paths", "-i", "v1", "-j", "v1", "-k", "2"),
+                     "source equals target; a path needs distinct endpoints", id="paths-same-ends"),
+        pytest.param("four", ("paths", "-i", "v1", "-j", "v2", "-k", "99"),
+                     "path length 99 out of range 1..3", id="paths-k"),
+        pytest.param("four", ("circuits", "-i", "nope", "-k", "3"),
+                     "unknown vertex 'nope'", id="circuits-unknown-vertex"),
+        pytest.param("four", ("circuits", "-i", "v1", "-k", "99"),
+                     "circuit length 99 out of range 1..4", id="circuits-k"),
+        pytest.param("four", ("matrix", "-k", "99"), "power 99 out of range 1..4", id="matrix-k"),
+        pytest.param("one", ("hamiltonian", "--kind", "path"),
+                     "Hamiltonian paths need at least 2 vertices", id="hamiltonian-one-vertex"),
+        pytest.param("one", ("optimal", "--kind", "path"),
+                     "Hamiltonian paths need at least 2 vertices", id="optimal-one-vertex"),
+        pytest.param("four", ("optimal", "--kind", "path"),
+                     "optimal selection needs arc costs", id="optimal-path-no-costs"),
+        pytest.param("four", ("optimal", "--kind", "circuit"),
+                     "optimal selection needs arc costs", id="optimal-circuit-no-costs"),
+        pytest.param("five", ("optimal", "--kind", "path", "--from", "nope"),
+                     "unknown vertex 'nope'", id="optimal-unknown-from"),
+        pytest.param("five", ("optimal", "--kind", "circuit", "--to", "nope"),
+                     "unknown vertex 'nope'", id="optimal-unknown-to"),
+    ])
+    def test_arguments_are_checked_before_any_build(
+        self, four_file, five_file, tmp_path, monkeypatch, engine, graph, argv, message
+    ):
+        # A query refuses bad arguments before it builds a power, runs the
+        # optimal recurrence or lists the oracle's candidates, so no guard
+        # can fire first.  held_karp and dfs_hamiltonian are themselves the
+        # queries of lcdl `optimal` and oracle `hamiltonian`, and check
+        # their arguments before any work; those two calls stay unpatched.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the arguments were checked")
+
+        command, *rest = argv
+        query = {("optimal", "lcdl"): "held_karp", ("hamiltonian", "oracle"): "dfs_hamiltonian"}
+        for module, name in (
+            (enumeration, "latin_powers"),
+            (enumeration, "held_karp"),
+            (bruteforce, "dfs_hamiltonian"),
+        ):
+            if name != query.get((command, engine)):
+                monkeypatch.setattr(module, name, refuse)
+        one = tmp_path / "one.txt"
+        one.write_text("vertices: a\na a 1\n")
+        path = {"four": four_file, "five": five_file, "one": str(one)}[graph]
+        result = run_cli(command, path, *rest, "--limit", "1", "--engine", engine)
+        assert result == (2, "", f"error: {message}\n")
 
     def test_resource_guard(self, five_file):
         code, _, err = run_cli(
