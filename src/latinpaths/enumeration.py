@@ -53,10 +53,8 @@ DEFAULT_WORD_LIMIT = 1_000_000
 class WordLimitError(RuntimeError):
     """A latin power exceeded the stored-word guard."""
 
-    def __init__(self, k: int, count: int, limit: int):
-        super().__init__(
-            f"latin power {k} holds {count} words, over the limit of {limit}"
-        )
+    def __init__(self, k: int, limit: int):
+        super().__init__(f"latin power {k} holds more words than the limit of {limit}")
         self.k = k
 
 
@@ -148,7 +146,7 @@ def latin_powers(
     elif not 1 <= depth <= n:
         raise ValueError(f"depth {depth} out of range 1..{n}")
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
-        raise WordLimitError(1, len(graph.arcs), word_limit)
+        raise WordLimitError(1, word_limit)
     succ = graph.successors
     prev: SparsePower = [{m: [(i, m)] for m in succ[i]} for i in range(n)]
     powers = [prev]
@@ -175,10 +173,12 @@ def latin_powers(
                         row[j] += new
                     else:
                         row[j] = new
+            # the running count goes over the limit exactly when the
+            # power's full count does, so stop at the row that crosses it
             count += sum(map(len, row.values()))
+            if count > word_limit:
+                raise WordLimitError(k, word_limit)
             cur.append(row)
-        if count > word_limit:
-            raise WordLimitError(k, count, word_limit)
         powers.append(cur)
         prev = cur
     if depth == n:
@@ -458,7 +458,7 @@ def held_karp(
                     if old is None or word < old:
                         nxt[key] = word
         if len(nxt) > word_limit:
-            raise WordLimitError(k, len(nxt), word_limit)
+            raise WordLimitError(k, word_limit)
         cur = nxt
     if circuit:
         closing = {m: arc for m in range(n) for i, arc in into[m] if i == s}

@@ -43,6 +43,22 @@ def five_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def decimal_file(tmp_path_factory):
+    """K8 minus the Hamiltonian cycle v0 -> v1 -> ... -> v7 -> v0, with
+    costs 0.1..0.7, whose sums do not round-trip (0.1 + 0.2)."""
+    names = [f"v{i}" for i in range(8)]
+    arcs = "".join(
+        f"{u} {v} 0.{(3 * i + 5 * j) % 7 + 1}\n"
+        for i, u in enumerate(names)
+        for j, v in enumerate(names)
+        if i != j and (j - i) % 8 != 1
+    )
+    path = tmp_path_factory.mktemp("graphs") / "decimal.txt"
+    path.write_text("vertices: " + " ".join(names) + "\n" + arcs)
+    return str(path)
+
+
 class TestPaths:
     def test_two_paths_json(self, four_file):
         payload = run_json("paths", four_file, "-i", "v1", "-j", "v4", "-k", "2")
@@ -296,7 +312,7 @@ class TestOptimal:
         assert run_cli("optimal", str(path), "--kind", "path", *limit)[:2] == (0, out)
         code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", *limit)
         assert (code, out) == (3, "")
-        assert "latin power 3 holds 13200 words" in err
+        assert "latin power 3 holds more words than the limit of 5544" in err
 
     def test_builds_no_latin_powers(self, five_file, monkeypatch):
         from latinpaths import enumeration
@@ -484,7 +500,7 @@ class TestErrorsAndGuards:
         query = ("paths", str(path), "-i", "a", "-j", "b", "-k", "1")
         code, out, err = run_cli(*query, "--limit", "1")
         assert (code, out) == (3, "")
-        assert "latin power 1 holds 2 words, over the limit of 1" in err
+        assert "latin power 1 holds more words than the limit of 1" in err
         assert run_cli(*query, "--limit", "2")[:2] == (0, "a-b\n")
 
     @pytest.mark.parametrize("limit", ["0", "-1", "x"])
@@ -651,7 +667,7 @@ class TestJsonContract:
         reparsed = json.dumps(json.loads(out), indent=2) + "\n"
         assert reparsed == out
 
-    def test_engine_agreement_on_examples(self, four_file, five_file):
+    def test_engine_agreement_on_examples(self, four_file, five_file, decimal_file):
         queries = [
             ("paths", four_file, "-i", "v1", "-j", "v4", "-k", "2"),
             ("paths", four_file, "-i", "v1", "-j", "v4", "-k", "3"),
@@ -669,12 +685,21 @@ class TestJsonContract:
             ("matrix", four_file, "-k", "2"),
             ("matrix", five_file, "-k", "3"),
             ("matrix", five_file, "-k", "5"),
+            ("hamiltonian", decimal_file, "--kind", "path"),
+            ("hamiltonian", decimal_file, "--kind", "circuit"),
+            ("paths", decimal_file, "-i", "v0", "-j", "v5", "-k", "4"),
+            ("circuits", decimal_file, "-i", "v0", "-k", "5"),
+            ("matrix", decimal_file, "-k", "3"),
+            ("optimal", decimal_file, "--kind", "path"),
+            ("optimal", decimal_file, "--kind", "circuit"),
         ]
         for query in queries:
             for fmt in ("json", "text"):
                 _, lcdl_out, _ = run_cli(*query, "--format", fmt, "--engine", "lcdl")
                 _, oracle_out, _ = run_cli(*query, "--format", fmt, "--engine", "oracle")
                 assert lcdl_out == oracle_out, (query, fmt)
+                if fmt == "json":
+                    json.loads(lcdl_out)
 
 
 def _named_cost(graph, names):

@@ -365,7 +365,7 @@ class TestHeldKarp:
         assert held_karp(g, "path", word_limit=5544) is not None
         with pytest.raises(WordLimitError) as exc:
             held_karp(g, "path", word_limit=5543)
-        assert str(exc.value) == "latin power 5 holds 5544 words, over the limit of 5543"
+        assert str(exc.value) == "latin power 5 holds more words than the limit of 5543"
         with pytest.raises(WordLimitError) as exc:
             held_karp(g, "path", word_limit=131)
         assert exc.value.k == 1
@@ -474,17 +474,22 @@ class TestGuards:
         with pytest.raises(WordLimitError) as exc:
             latin_powers(five_vertex_graph, word_limit=3)
         assert exc.value.k == 1
-        assert str(exc.value) == "latin power 1 holds 12 words, over the limit of 3"
+        assert str(exc.value) == "latin power 1 holds more words than the limit of 3"
         with pytest.raises(WordLimitError) as exc:
             latin_powers(five_vertex_graph, word_limit=12)
         assert exc.value.k == 2
 
-    def test_word_limit_counts_the_whole_power(self):
-        # K8's fourth power: 8*7*6*5*4 = 6,720 paths plus 8*7*6*5 = 1,680 circuits
+    def test_word_limit_stops_inside_the_power(self):
+        # K8's fourth power: 8*7*6*5*4 = 6,720 paths plus 8*7*6*5 = 1,680
+        # circuits, 1,050 words in each of its 8 rows.  The guard fires at
+        # the row that takes the count over the limit: the fifth, with 5,250
+        # words built, not all 8,400.
         with pytest.raises(WordLimitError) as exc:
             latin_powers(complete_digraph(8), word_limit=5000)
         assert exc.value.k == 4
-        assert str(exc.value) == "latin power 4 holds 8400 words, over the limit of 5000"
+        assert str(exc.value) == "latin power 4 holds more words than the limit of 5000"
+        built = exc.traceback[-1].locals
+        assert (len(built["cur"]), built["count"]) == (4, 5250)
 
     def test_single_vertex_no_arcs(self):
         g = DirectedGraph(("a",), ())
