@@ -16,7 +16,7 @@ import sys
 from . import bruteforce, enumeration
 from .graph import (
     DirectedGraph,
-    format_cost,
+    cost_text,
     parse_graph,
     path_cost,
 )
@@ -134,16 +134,18 @@ def _query(command: str, fields, args) -> dict:
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
     """The answer of an enumeration command; `items` are index words in
     canonical order.  JSON is written as text in the layout of
-    `json.dumps(payload, indent=2)`, byte for byte, with names encoded once
-    per vertex; `path_cost` prices each item once."""
+    `json.dumps(payload, indent=2)`, with names encoded once per vertex;
+    `path_cost` prices each item once and `cost_text` writes its cost."""
     costed = graph.costs is not None
+    # items share few totals: each is rendered once
+    cost_of = functools.cache(functools.partial(cost_text, graph, as_json=fmt == "json"))
     if fmt == "json":
         quoted = [
             "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
         ].__getitem__
         parts = []
         for w in items:
-            cost = repr(path_cost(graph, w)) if costed else "null"
+            cost = cost_of(path_cost(graph, w)) if costed else "null"
             parts.append(
                 '    {\n      "vertices": [\n'
                 + ",\n".join(map(quoted, w))
@@ -163,9 +165,7 @@ def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
         return none_text
     name = graph.vertices.__getitem__
     if costed:
-        lines = [
-            "-".join(map(name, w)) + " cost=" + format_cost(path_cost(graph, w)) for w in items
-        ]
+        lines = ["-".join(map(name, w)) + " cost=" + cost_of(path_cost(graph, w)) for w in items]
     else:
         lines = ["-".join(map(name, w)) for w in items]
     return "\n".join(lines) + "\n"
@@ -187,7 +187,7 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         attrs = []
         cost = graph.arc_cost[index[u]][index[v]]
         if cost is not None:
-            attrs.append(f"label={_dot_quote(format_cost(cost))}")
+            attrs.append(f"label={_dot_quote(cost_text(graph, cost))}")
         if (index[u], index[v]) in highlighted:
             attrs.append('color="red"')
             attrs.append("penwidth=2")

@@ -33,8 +33,8 @@ Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per (first vertex, vertex
 set): the Bellman / Held-Karp dynamic program, O(2^n n^2) instead of the
 n! words of the powers.  `optimal_hamiltonian` selects from a full
-enumeration and is its reference.  Both compare costs exactly, as integers
-(`graph.exact_costs`), and break ties by canonical order.
+enumeration and is its reference.  Both compare costs exactly, as the
+integers of `graph.arc_cost`, and break ties by canonical order.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, VertexPath, exact_costs, path_cost
+from .graph import DirectedGraph, VertexPath, path_cost
 from .languages import DistinguishedLanguage
 from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
 from .words import Alphabet, DistinguishedWord
@@ -375,14 +375,6 @@ def _selection(
     return (1 if objective == "min" else -1), s, t
 
 
-def _exact_arc_costs(graph: DirectedGraph) -> dict[tuple[int, int], int]:
-    """(i, j) of each arc (v_i, v_j) -> its exact cost (`exact_costs`)."""
-    index = graph.vertex_index
-    return {
-        (index[u], index[v]): c for (u, v), c in zip(graph.arcs, exact_costs(graph))
-    }
-
-
 def optimal_hamiltonian(
     graph: DirectedGraph,
     kind: str,
@@ -390,27 +382,22 @@ def optimal_hamiltonian(
     objective: str = "min",
     start: str | None = None,
     end: str | None = None,
-) -> tuple[Word, float] | None:
+) -> tuple[Word, int] | None:
     """The cheapest (objective "min") or dearest ("max") Hamiltonian path
     (kind "path") or circuit ("circuit") among those that start at `start`
-    and end at `end` (a circuit ends where it starts), with its cost; None
-    when there is none.  The candidates are `candidates(graph, kind)`, index
-    words in canonical order (`hamiltonian`, or the oracle's
-    `dfs_hamiltonian`), listed only once the arguments are checked.
-    Costs compare exactly (`exact_costs`); ties go to the first candidate
-    in canonical order."""
+    and end at `end` (a circuit ends where it starts), with its cost as
+    `path_cost` gives it; None when there is none.  The candidates are
+    `candidates(graph, kind)`, index words in canonical order
+    (`hamiltonian`, or the oracle's `dfs_hamiltonian`), listed only once the
+    arguments are checked.  Costs compare exactly; ties go to the first
+    candidate in canonical order."""
     sign, s, t = _selection(graph, kind, objective, start, end)
-    exact = _exact_arc_costs(graph)
     kept = (
         w for w in candidates(graph, kind)
         if (s is None or w[0] == s) and (t is None or w[-1] == t)
     )
     # min returns the first smallest item
-    best = min(
-        kept,
-        key=lambda w: sign * sum(exact[arc] for arc in zip(w, w[1:])),
-        default=None,
-    )
+    best = min(kept, key=lambda w: sign * path_cost(graph, w), default=None)
     return None if best is None else (best, path_cost(graph, best))
 
 
@@ -421,7 +408,7 @@ def held_karp(
     start: str | None = None,
     end: str | None = None,
     word_limit: int = DEFAULT_WORD_LIMIT,
-) -> tuple[Word, float] | None:
+) -> tuple[Word, int] | None:
     """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
     "path") or circuit ("circuit"), without enumerating them: the left
     recurrence of `latin_powers` keeping one word per entry, the
@@ -436,7 +423,7 @@ def held_karp(
     arcs (s, m) at power n: with exact costs every rotation of a circuit
     costs the same, and every Hamiltonian circuit passes v_1, so the
     canonically first optimum starts there.  `word_limit` bounds the
-    entries of each power, as in `latin_powers`."""
+    entries of each power as they are made, as in `latin_powers`."""
     sign, s, t = _selection(graph, kind, objective, start, end)
     n, circuit = graph.n, kind == "circuit"
     if circuit:
@@ -444,8 +431,9 @@ def held_karp(
             return None
         s = t = s if s is not None else t if t is not None else 0
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (i, signed cost of (i, m))
-    for (i, m), c in _exact_arc_costs(graph).items():
-        into[m].append((i, sign * c))
+    for i, row in enumerate(graph.arc_cost):
+        for m, c in row.items():
+            into[m].append((i, sign * c))
     # power 0: the one-vertex words at the ends
     cur = {(j, 1 << j): (0, (j,)) for j in (range(n) if t is None else (t,))}
     for k in range(1, n):
@@ -457,8 +445,8 @@ def held_karp(
                     old = nxt.get(key)
                     if old is None or word < old:
                         nxt[key] = word
-        if len(nxt) > word_limit:
-            raise WordLimitError(k, word_limit)
+            if len(nxt) > word_limit:
+                raise WordLimitError(k, word_limit)
         cur = nxt
     if circuit:
         closing = {m: arc for m in range(n) for i, arc in into[m] if i == s}
@@ -467,5 +455,5 @@ def held_karp(
         words = [word for (m, _), word in cur.items() if s is None or m == s]
     if not words:
         return None
-    best = min(words)[1]
-    return best, path_cost(graph, best)
+    cost, best = min(words)
+    return best, sign * cost

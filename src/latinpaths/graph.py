@@ -33,25 +33,36 @@ class PathError(ValueError):
 class DirectedGraph:
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
-    costs: tuple[float, ...] | None = None  # parallel to arcs
+    # parallel to arcs: decimals, or floats, each read as its repr
+    costs: tuple[Decimal | int | float, ...] | None = None
     # Built once per graph: vertex name -> its index in vertices; per vertex,
-    # its successor indices, ascending, self-loops included; and per vertex
-    # v_i, each successor index j -> the cost of arc (v_i, v_j), in arc
-    # order, None on a graph without costs.
+    # its successor indices, ascending, self-loops included; per vertex v_i,
+    # each successor index j -> the cost of arc (v_i, v_j), exactly, as an
+    # integer number of 1/denominator, in arc order (None on a graph without
+    # costs); and denominator, the least power of ten that makes costs whole.
     vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    arc_cost: tuple[dict[int, float | None], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    arc_cost: tuple[dict[int, int | None], ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertex_index = {v: i for i, v in enumerate(self.vertices)}
         if len(vertex_index) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
-        if self.costs is not None and len(self.costs) != len(self.arcs):
-            raise ValueError("every arc needs exactly one cost")
-        arc_cost: tuple[dict[int, float | None], ...] = tuple({} for _ in self.vertices)
-        for (u, v), cost in zip(self.arcs, self.costs or (None,) * len(self.arcs)):
+        denominator, scaled = 1, (None,) * len(self.arcs)
+        if self.costs is not None:
+            if len(self.costs) != len(self.arcs):
+                raise ValueError("every arc needs exactly one cost")
+            ratios = [
+                Decimal(repr(c) if isinstance(c, float) else c).as_integer_ratio()
+                for c in self.costs
+            ]
+            for _, q in ratios:
+                while denominator % q:
+                    denominator *= 10
+            scaled = [p * (denominator // q) for p, q in ratios]
+        arc_cost: tuple[dict[int, int | None], ...] = tuple({} for _ in self.vertices)
+        for (u, v), cost in zip(self.arcs, scaled):
             if u not in vertex_index or v not in vertex_index:
                 raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
             row, j = arc_cost[vertex_index[u]], vertex_index[v]
@@ -61,6 +72,7 @@ class DirectedGraph:
         object.__setattr__(self, "vertex_index", vertex_index)
         object.__setattr__(self, "successors", tuple(tuple(sorted(row)) for row in arc_cost))
         object.__setattr__(self, "arc_cost", arc_cost)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def n(self) -> int:
@@ -85,18 +97,13 @@ class VertexPath:
             raise PathError("a path needs at least two vertices")
 
 
-def format_cost(cost: float) -> str:
-    """Cost text: integral values without a fractional part."""
-    return str(int(cost)) if float(cost).is_integer() else repr(cost)
-
-
 def parse_graph(text: str) -> DirectedGraph:
     """Parse the edge-list format.  Text decoded with
     errors="surrogateescape" may hold bytes that are not UTF-8; each is a
     parse error on its line, comments included."""
     vertices: tuple[str, ...] | None = None
     arcs: list[tuple[str, str]] = []
-    costs: list[float | None] = []
+    costs: list[Decimal | None] = []
     arc_lines: dict[tuple[str, str], int] = {}
     magnitude = 0.0  # sum of |cost|, a bound on every path cost
     # Lines end at "\n", "\r\n" or "\r" only: splitlines() would also
@@ -138,13 +145,15 @@ def parse_graph(text: str) -> DirectedGraph:
         arcs.append((u, v))
         if len(parts) == 3:
             try:
-                # Decimal validates the syntax; the value is kept as float.
-                cost = float(Decimal(parts[2]))
+                cost = Decimal(parts[2])
+                value = float(cost)
             except (InvalidOperation, ValueError):  # ValueError: signaling NaN
                 raise GraphParseError(line_no, f"invalid cost {parts[2]!r}") from None
-            if not math.isfinite(cost):
+            if not math.isfinite(value):
                 raise GraphParseError(line_no, f"cost {parts[2]!r} is not finite")
-            magnitude += abs(cost)
+            if not value and cost:
+                raise GraphParseError(line_no, f"cost {parts[2]!r} is too close to 0 for a float")
+            magnitude += abs(value)
             if math.isinf(magnitude):
                 raise GraphParseError(
                     line_no, f"cost {parts[2]!r} takes the sum of |cost| beyond the float range"
@@ -170,29 +179,13 @@ def serialize_graph(graph: DirectedGraph) -> str:
     for u, targets, row in zip(names, graph.successors, graph.arc_cost):
         for j in targets:
             v, cost = names[j], row[j]
-            lines.append(f"{u} {v}" if cost is None else f"{u} {v} {format_cost(cost)}")
+            lines.append(f"{u} {v}" if cost is None else f"{u} {v} {cost_text(graph, cost)}")
     return "\n".join(lines) + "\n"
 
 
-def exact_costs(graph: DirectedGraph) -> tuple[int, ...]:
-    """The arc costs as integers over one common power-of-ten denominator,
-    parallel to `graph.arcs`, so that sums of costs compare exactly (0.1 +
-    0.2 equals 0.3).  Each cost is read as the shortest decimal that gives
-    back its float, which is the decimal of the file whenever a float holds
-    its digits."""
-    if graph.costs is None:
-        raise ValueError("graph has no arc costs")
-    decimals = [Decimal(repr(c)) for c in graph.costs]
-    shift = max([0] + [-d.as_tuple().exponent for d in decimals])
-    return tuple(int(d.scaleb(shift)) for d in decimals)
-
-
-def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> float:
-    """Sum of the arc costs along an index word, left to right from int 0:
-    the printed cost.  Comparisons between paths use `exact_costs`.
-
-    The sum is accumulated explicitly: from Python 3.12 on, `sum()` of
-    floats is compensated and can round differently."""
+def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> int:
+    """The exact cost of an index word: the sum of the arc costs along it,
+    as an integer number of 1/graph.denominator."""
     if graph.costs is None:
         raise ValueError("graph has no arc costs")
     arc_cost = graph.arc_cost
@@ -204,3 +197,20 @@ def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> float:
         names = graph.vertices
         raise PathError(f"({names[i]}, {names[j]}) is not an arc of the graph") from None
     return total
+
+
+def cost_text(graph: DirectedGraph, total: int, as_json: bool = False) -> str:
+    """The exact cost total/graph.denominator (`path_cost`, or one entry of
+    `arc_cost`) as text.  In text an integral cost prints as its digits.
+    Otherwise it prints as the repr of its float when that text stands for
+    it exactly, else as its exact decimal; both are valid JSON numbers."""
+    denominator = graph.denominator
+    if not as_json and total % denominator == 0:
+        return str(total // denominator)
+    if denominator == 1 and -(2**53) < total < 2**53:
+        return repr(float(total))  # a float holds it, and its repr is its digits
+    exact = Decimal(f"{total}e-{len(str(denominator)) - 1}")
+    text = repr(total / denominator)
+    if Decimal(text) == exact:
+        return text
+    return format(exact, "f").rstrip("0") if total % denominator else str(total // denominator)

@@ -1,7 +1,11 @@
 import contextlib
+import decimal
 import io
+import itertools
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from latinpaths import bruteforce, enumeration
 from latinpaths.cli import _emit_result, main
 from latinpaths.enumeration import WordLimitError, latin_powers
-from latinpaths.graph import DirectedGraph, VertexPath, format_cost, serialize_graph
+from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -288,13 +292,24 @@ class TestOptimal:
     @pytest.mark.parametrize("engine", ["lcdl", "oracle"])
     def test_exact_tie(self, tmp_path, engine):
         # a-b-c and a-c-b both cost 0.3 in decimals; the first in canonical
-        # order wins, printed with its float sum
+        # order wins, printed with its exact sum, which every path prints
         path = tmp_path / "tie.txt"
         path.write_text("vertices: a b c\na b 0.1\nb c 0.2\na c 0.3\nc b 0\n")
-        code, out, _ = run_cli(
-            "optimal", str(path), "--kind", "path", "--from", "a", "--engine", engine
+        query = ("--kind", "path", "--engine", engine)
+        assert run_cli("optimal", str(path), *query, "--from", "a")[:2] == (0, "a-b-c cost=0.3\n")
+        assert run_cli("optimal", str(path), *query)[:2] == (0, "a-b-c cost=0.3\n")
+        assert run_cli("hamiltonian", str(path), *query)[:2] == (
+            0, "a-b-c cost=0.3\na-c-b cost=0.3\n"
         )
-        assert (code, out) == (0, "a-b-c cost=0.30000000000000004\n")
+        # a-c-b is cheaper by 1e-20, below a float's resolution at 0.3
+        path.write_text("vertices: a b c\na b 0.1\nb c 0.2\na c 0.29999999999999999999\nc b 0\n")
+        code, out, _ = run_cli("optimal", str(path), *query, "--from", "a")
+        assert (code, out) == (0, "a-c-b cost=0.29999999999999999999\n")
+        code, out, _ = run_cli("optimal", str(path), *query, "--from", "a", "--format", "json")
+        assert code == 0 and '"cost": 0.29999999999999999999\n' in out
+        assert json.loads(out, parse_float=Decimal)["items"][0]["cost"] == Decimal(
+            "0.29999999999999999999"
+        )
 
     def test_feasible_where_enumeration_is_not(self, tmp_path):
         names = [f"v{i}" for i in range(1, 13)]
@@ -659,6 +674,104 @@ class TestOracle:
             assert run_cli(*query) == (code, out, err), query
 
 
+# Decimals that tie (0.1 + 0.2 is 0.3), kept as they are or nudged by a few
+# units of 1e-24, far below a float's resolution, to 24 to 34 significant
+# digits.
+LONG_COSTS = st.builds(
+    lambda base, nudge: str(decimal.Context(prec=60).add(Decimal(base), Decimal(nudge) / 10**24)),
+    st.sampled_from(["0.1", "0.2", "0.3", "1", "-0.5", "1234567890.1"]),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def long_cost_graphs(draw):
+    """Edge-list text of up to five vertices with a long cost on every arc,
+    and its arcs as (i, j) -> the exact cost."""
+    n = draw(st.integers(2, 5))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), unique=True, min_size=1
+    ))
+    texts = [draw(LONG_COSTS) for _ in pairs]
+    lines = ["vertices: " + " ".join(f"v{i}" for i in range(n))]
+    lines += [f"v{i} v{j} {c}" for (i, j), c in zip(pairs, texts)]
+    return "\n".join(lines) + "\n", n, {p: Fraction(c) for p, c in zip(pairs, texts)}
+
+
+def _brute_force(n, exact, kind, objective, start, end):
+    """The best Hamiltonian path or circuit by trying every vertex order in
+    canonical order, priced in Fractions; the first of equal cost wins."""
+    best = None
+    for order in itertools.permutations(range(n)):
+        word = order + order[:1] if kind == "circuit" else order
+        arcs = list(zip(word, word[1:]))
+        if any(arc not in exact for arc in arcs):
+            continue
+        if (start is not None and word[0] != start) or (end is not None and word[-1] != end):
+            continue
+        cost = sum(exact[arc] for arc in arcs)
+        if best is None or (cost < best[1] if objective == "min" else cost > best[1]):
+            best = (word, cost)
+    return best
+
+
+class TestExactCosts:
+    @settings(max_examples=150, deadline=None)
+    @given(case=long_cost_graphs())
+    def test_selection_matches_a_fraction_brute_force(self, tmp_path_factory, case):
+        text, n, exact = case
+        path = tmp_path_factory.mktemp("exact") / "graph.txt"
+        path.write_text(text)
+        graph = parse_graph(text)
+        ends = [(None, None), (0, None), (None, n - 1), (n - 1, 0)]
+        shapes = itertools.product(("path", "circuit"), ("min", "max"), ends)
+        for kind, objective, (s, t) in shapes:
+            if kind == "circuit" and s is not None and t is not None:
+                s = t  # a circuit ends where it starts
+            expected = _brute_force(n, exact, kind, objective, s, t)
+            names = [None if x is None else f"v{x}" for x in (s, t)]
+            got = [enumeration.held_karp(graph, kind, objective, *names)] + [
+                enumeration.optimal_hamiltonian(graph, kind, candidates, objective, *names)
+                for candidates in (enumeration.hamiltonian, bruteforce.dfs_hamiltonian)
+            ]
+            for best in got:
+                if expected is None:
+                    assert best is None
+                else:  # priced in units of 1/graph.denominator
+                    assert (best[0], Fraction(best[1], graph.denominator)) == expected
+            flags = [f for flag, x in zip(("--from", "--to"), names) if x for f in (flag, x)]
+            for engine in ("lcdl", "oracle"):
+                code, out, _ = run_cli(
+                    "optimal", str(path), "--kind", kind, "--objective", objective,
+                    *flags, "--engine", engine, "--format", "json",
+                )
+                items = json.loads(out)["items"]  # every cost text is a JSON number
+                assert code == 0 and len(items) == (expected is not None)
+                if expected is not None:
+                    assert Decimal(_cost_of(out)[0]) == expected[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=long_cost_graphs())
+    def test_every_json_cost_is_the_exact_sum(self, tmp_path_factory, case):
+        text, _, exact = case
+        path = tmp_path_factory.mktemp("exact") / "graph.txt"
+        path.write_text(text)
+        for kind, engine in itertools.product(("path", "circuit"), ("lcdl", "oracle")):
+            code, out, _ = run_cli(
+                "hamiltonian", str(path), "--kind", kind, "--engine", engine, "--format", "json"
+            )
+            items = json.loads(out)["items"]
+            assert code == 0
+            for item, cost in zip(items, _cost_of(out), strict=True):
+                word = [int(v[1:]) for v in item["vertices"]]
+                assert Decimal(cost) == sum(exact[arc] for arc in zip(word, word[1:]))
+
+
+def _cost_of(out: str) -> list[str]:
+    """The text of each item's cost in JSON output."""
+    return [line.split(": ")[1] for line in out.splitlines() if line.startswith('      "cost": ')]
+
+
 class TestJsonContract:
     def test_round_trip_byte_identical(self, five_file):
         _, out, _ = run_cli(
@@ -703,18 +816,28 @@ class TestJsonContract:
 
 
 def _named_cost(graph, names):
-    """The arc costs along a path of vertex names, added left to right from
-    int 0, with the arcs looked up by name: independent of `path_cost`."""
+    """The exact cost of a path of vertex names: the Fraction of each arc
+    cost's repr, looked up by name, added up.  Independent of `path_cost`."""
     named = dict(zip(graph.arcs, graph.costs))
-    total = 0
-    for arc in zip(names, names[1:]):
-        total = total + named[arc]
-    return total
+    return sum(Fraction(repr(named[arc])) for arc in zip(names, names[1:]))
 
 
-def _item_json(graph, names):
+def _cost_text(cost: Fraction, as_json: bool) -> str:
+    """The text of an exact cost: the digits of an integral cost in text;
+    else the repr of the nearest float when it stands for the cost exactly;
+    else the exact decimal.  Independent of `graph.cost_text`."""
+    if cost.denominator == 1 and not as_json:
+        return str(cost.numerator)
+    text = repr(float(cost))
+    if Fraction(text) == cost:
+        return text
+    with decimal.localcontext() as context:
+        context.prec, context.traps[decimal.Inexact] = 1000, True
+        return format(Decimal(cost.numerator) / cost.denominator, "f")
+
+
+def _item_json(names, cost):
     """One item of the enumeration schema, as a dict for `json.dumps`."""
-    cost = _named_cost(graph, names) if graph.costs is not None else None
     return {"vertices": list(names), "length": len(names) - 1, "cost": cost}
 
 
@@ -768,14 +891,31 @@ class TestEmitter:
     @settings(max_examples=300, deadline=None)
     @given(answer=emitted_answers())
     def test_json_is_the_indented_dump(self, answer):
+        """The output of `json.dumps(payload, indent=2)`, byte for byte,
+        with each cost's text in place of a marker."""
         graph, query, items = answer
+        paths = [[graph.vertices[i] for i in w] for w in items]
+        costs = [
+            None if graph.costs is None else _cost_text(_named_cost(graph, p), True)
+            for p in paths
+        ]
         payload = {
             "query": query,
-            "items": [_item_json(graph, [graph.vertices[i] for i in w]) for w in items],
+            "items": [
+                _item_json(p, None if c is None else f"@cost{k}@")
+                for k, (p, c) in enumerate(zip(paths, costs))
+            ],
             "count": len(items),
         }
         expected = json.dumps(payload, indent=2) + "\n"
-        assert _emit_result(graph, query, items, "json", "") == expected
+        for k, cost in enumerate(costs):
+            expected = expected.replace(f'"@cost{k}@"', str(cost))
+        out = _emit_result(graph, query, items, "json", "")
+        assert out == expected
+        parsed = json.loads(out, parse_float=Decimal)["items"]
+        for p, item in zip(paths, parsed):
+            if graph.costs is not None:
+                assert Decimal(item["cost"]) == _named_cost(graph, p)
 
     @settings(max_examples=300, deadline=None)
     @given(answer=emitted_answers())
@@ -783,23 +923,50 @@ class TestEmitter:
         graph, query, items = answer
         paths = [[graph.vertices[i] for i in w] for w in items]
         if graph.costs is not None:
-            lines = [f"{'-'.join(p)} cost={format_cost(_named_cost(graph, p))}" for p in paths]
+            lines = [
+                f"{'-'.join(p)} cost={_cost_text(_named_cost(graph, p), False)}" for p in paths
+            ]
         else:
             lines = ["-".join(p) for p in paths]
         expected = "".join(line + "\n" for line in lines) if items else "none\n"
         assert _emit_result(graph, query, items, "text", "none\n") == expected
 
-    def test_cost_is_the_left_to_right_sum(self, tmp_path):
-        # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
+    def test_cost_is_the_exact_sum(self, tmp_path):
+        # in floats, (0.1 + 0.2) + 0.3 is 0.6000000000000001 and a
+        # compensated sum gives 0.6; the exact sum is 0.6 in any order
         path = tmp_path / "chain.txt"
         path.write_text("vertices: a b c d\na b 0.1\nb c 0.2\nc d 0.3\n")
         for engine in ("lcdl", "oracle"):
             for command in ("hamiltonian", "optimal"):
                 query = (command, str(path), "--kind", "path", "--engine", engine)
-                assert run_cli(*query) == (0, "a-b-c-d cost=0.6000000000000001\n", "")
+                assert run_cli(*query) == (0, "a-b-c-d cost=0.6\n", "")
                 code, out, _ = run_cli(*query, "--format", "json")
-                assert code == 0 and '"cost": 0.6000000000000001\n' in out
-                assert json.loads(out)["items"][0]["cost"].hex() == (0.6000000000000001).hex()
+                assert code == 0 and '"cost": 0.6\n' in out
+
+    def test_costs_no_float_holds(self, tmp_path):
+        # 2**53 + 1, 2**60 + 1 and 2**60 + 2**53 print as digits, in JSON
+        # as well, since the repr of their nearest float stands for another
+        # number; 1 + 1e-20 needs 21 digits
+        path = tmp_path / "big.txt"
+        path.write_text(
+            "vertices: a b c\na b 9007199254740992\nb c 1\nc a 1152921504606846976\n"
+            "a c 0.00000000000000000001\nc b 1\n"
+        )
+        for engine in ("lcdl", "oracle"):
+            query = ("hamiltonian", str(path), "--kind", "path", "--engine", engine)
+            assert run_cli(*query) == (0, (
+                "a-b-c cost=9007199254740993\n"
+                "a-c-b cost=1.00000000000000000001\n"
+                "b-c-a cost=1152921504606846977\n"
+                "c-a-b cost=1161928703861587968\n"
+            ), "")
+            code, out, _ = run_cli(*query, "--format", "json")
+            costs = [item["cost"] for item in json.loads(out, parse_float=Decimal)["items"]]
+            assert code == 0 and costs == [
+                9007199254740993, Decimal("1.00000000000000000001"),
+                1152921504606846977, 1161928703861587968,
+            ]
+            assert '"cost": 9007199254740993\n' in out
 
     def test_negative_zero_costs_print_as_zero(self, tmp_path):
         # the sum starts from int 0, and 0 + -0.0 is 0.0

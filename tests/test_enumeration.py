@@ -326,23 +326,25 @@ class TestHeldKarp:
 
     def test_exact_tie_goes_to_the_canonically_first(self):
         # a-b-c costs 0.1 + 0.2, a-c-b costs 0.3 + 0: equal in decimals, not
-        # in floats; the printed cost stays the float sum
+        # in floats; the cost returned is the exact sum, 3 tenths
         g = DirectedGraph(
             ("a", "b", "c"),
             (("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")),
             (0.1, 0.2, 0.3, 0.0),
         )
+        assert g.denominator == 10
         for objective in ("min", "max"):
             best = held_karp(g, "path", objective, start="a")
-            assert best == ((0, 1, 2), 0.1 + 0.2)
+            assert best == ((0, 1, 2), 3)
             assert optimal_hamiltonian(g, "path", hamiltonian, objective, start="a") == best
 
     def test_circuits_of_one_and_two_vertices(self):
+        # costs in tenths
         loop = DirectedGraph(("a",), (("a", "a"),), (2.5,))
-        assert held_karp(loop, "circuit") == ((0, 0), 2.5)
+        assert held_karp(loop, "circuit") == ((0, 0), 25)
         assert held_karp(DirectedGraph(("a",), (), ()), "circuit") is None
         pair = DirectedGraph(("a", "b"), (("a", "b"), ("b", "a"), ("b", "b")), (1.0, 2.0, 0.5))
-        assert held_karp(pair, "circuit", "max", end="b") == ((1, 0, 1), 3.0)
+        assert held_karp(pair, "circuit", "max", end="b") == ((1, 0, 1), 30)
         assert held_karp(pair, "circuit", start="a", end="b") is None
 
     def test_unknown_vertex(self, five_vertex_graph):
@@ -369,6 +371,18 @@ class TestHeldKarp:
         with pytest.raises(WordLimitError) as exc:
             held_karp(g, "path", word_limit=131)
         assert exc.value.k == 1
+
+    def test_word_limit_stops_inside_the_power(self):
+        # weighted K12's fourth power holds 12 * C(11, 4) = 3960 entries.
+        # The guard fires at the word of power 3 whose successors take the
+        # entries over 3000, before the rest of power 4 is built.
+        g = complete_digraph(12)
+        g = DirectedGraph(g.vertices, g.arcs, tuple(a % 4 + 1 for a in range(len(g.arcs))))
+        with pytest.raises(WordLimitError) as exc:
+            held_karp(g, "path", word_limit=3000)
+        assert exc.value.k == 4
+        built = exc.traceback[-1].locals
+        assert 3000 < len(built["nxt"]) <= 3000 + 12 < 3960
 
 
 class TestRoundTrip:

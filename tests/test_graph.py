@@ -1,6 +1,7 @@
 import random
 import re
-import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from latinpaths.graph import (
     GraphParseError,
     PathError,
     VertexPath,
-    exact_costs,
     parse_graph,
     path_cost,
     serialize_graph,
@@ -97,7 +97,21 @@ class TestParse:
         with pytest.raises(GraphParseError, match="^line 3: cost '-1e308'"):
             parse_graph("vertices: a b c\na b 1e308\nb c -1e308\nc a 1\n")
         big = parse_graph("vertices: a b\na b 1e308\nb a 7e307\n")
-        assert big.costs == (1e308, 7e307)
+        assert big.costs == (Decimal("1e308"), Decimal("7e307"))
+        assert (big.arc_cost[0][1], big.arc_cost[1][0]) == (10**308, 7 * 10**307)
+
+    def test_cost_too_small_for_a_float(self):
+        # read as a float it would be 0; exactly, its denominator would have
+        # a billion digits
+        with pytest.raises(
+            GraphParseError, match="^line 3: cost '1e-999999999' is too close to 0 for a float$"
+        ):
+            parse_graph("vertices: a b\na b 1\nb a 1e-999999999\n")
+        with pytest.raises(GraphParseError, match="^line 2: cost '-1e-400' is too close to 0"):
+            parse_graph("vertices: a b\na b -1e-400\n")
+        # zero with any exponent is zero, and the least subnormal is a float
+        g = parse_graph("vertices: a b\na b 0e-999999999\nb a 5e-324\n")
+        assert (g.arc_cost[0][1], g.arc_cost[1][0], g.denominator) == (0, 5, 10**324)
 
 
 class TestSerialize:
@@ -112,8 +126,16 @@ class TestSerialize:
     def test_fractional_cost_round_trip(self):
         g = parse_graph("vertices: a b\na b 0.1\nb a 2.25\n")
         again = parse_graph(serialize_graph(g))
-        assert again.arc_cost[0][1] == g.arc_cost[0][1] == 0.1
-        assert again.arc_cost[1][0] == 2.25
+        assert again.arc_cost == g.arc_cost == ({1: 10}, {0: 225})
+        assert again.denominator == g.denominator == 100
+
+    def test_costs_beyond_a_float_round_trip(self):
+        # the nearest float to each is 0.3, 1e+22 and 1.0
+        text = (
+            "vertices: a b c\na b 0.29999999999999999999\n"
+            "b c 10000000000000000000001\nc a 1.00000000000000000000000000001\n"
+        )
+        assert serialize_graph(parse_graph(text)) == text
 
     def test_arc_order(self):
         g = parse_graph("vertices: a b\nb a\na b\n")
@@ -190,10 +212,13 @@ class TestIndex:
     def test_agrees_with_arcs_and_costs(self, data):
         """`successors` lists each vertex's arc targets by declaration
         index, and `arc_cost` maps each arc, per source index and then
-        target index, to its cost, or to None, in arc order."""
+        target index, to its cost, or to None, in arc order.  A float cost
+        is the decimal of its repr, times `denominator`, the least power of
+        ten that makes every cost an integer."""
         names = data.draw(st.permutations(["c", "a", "e", "b", "d"]))[: data.draw(st.integers(1, 5))]
         arcs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), unique=True))
-        costs = data.draw(st.none() | st.tuples(*(st.floats(allow_nan=False) for _ in arcs)))
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        costs = data.draw(st.none() | st.tuples(*(floats for _ in arcs)))
         graph = DirectedGraph(tuple(names), tuple(arcs), costs)
         for i, u in enumerate(names):
             assert graph.successors[i] == tuple(j for j, v in enumerate(names) if (u, v) in arcs)
@@ -201,7 +226,12 @@ class TestIndex:
             assert list(graph.arc_cost[i]) == [names.index(v) for w, v in arcs if w == u]
         for a, (u, v) in enumerate(arcs):
             cost = graph.arc_cost[names.index(u)][names.index(v)]
-            assert cost is (None if costs is None else costs[a])
+            if costs is None:
+                assert cost is None
+            else:
+                assert Fraction(cost, graph.denominator) == Fraction(repr(costs[a]))
+        places = [-Decimal(repr(c)).normalize().as_tuple().exponent for c in costs or ()]
+        assert graph.denominator == 10 ** max([0, *places])
 
 
 class TestAdjacencyMatrix:
@@ -276,10 +306,11 @@ class TestPathCost:
         with pytest.raises(PathError, match=r"^\(3, 1\) is not an arc"):
             path_cost(five_vertex_graph, word_of(five_vertex_graph, "4-5-3-1"))
 
-    def test_left_to_right_on_every_python(self):
-        # (0.1 + 0.2) + 0.3; a compensated sum (sum() from Python 3.12) gives 0.6
+    def test_exact_in_any_order(self):
+        # in floats, (0.1 + 0.2) + 0.3 is 0.6000000000000001 and a
+        # compensated sum gives 0.6
         g = DirectedGraph(tuple("abcd"), (("a", "b"), ("b", "c"), ("c", "d")), (0.1, 0.2, 0.3))
-        assert path_cost(g, (0, 1, 2, 3)).hex() == (0.6000000000000001).hex()
+        assert (path_cost(g, (0, 1, 2, 3)), g.denominator) == (6, 10)
 
     def test_matches_the_cost_of_sum_on_the_corpus(self, corpus):
         rng = random.Random(20260)
@@ -294,21 +325,17 @@ class TestPathCost:
                 for _ in plain.arcs
             )
             g = DirectedGraph(plain.vertices, plain.arcs, costs)
-            # the expected side reads the arcs by name, not the index table
-            named = dict(zip(g.arcs, costs))
+            # the expected side reads the arcs by name, not the index table,
+            # and each cost as the Fraction of its repr
+            named = {arc: Fraction(repr(c)) for arc, c in zip(g.arcs, costs)}
             successors = {v: [w for u, w in g.arcs if u == v] for v in g.vertices}
             for _ in range(20):
                 walk = [rng.choice(g.arcs)[0]]
                 while len(walk) < 2 or (successors[walk[-1]] and rng.random() < 0.8):
                     walk.append(rng.choice(successors[walk[-1]]))
                 word = tuple(g.vertices.index(v) for v in walk)
-                terms = [named[u, v] for u, v in zip(walk, walk[1:])]
-                expected = 0
-                for term in terms:
-                    expected = expected + term
-                assert path_cost(g, word).hex() == float(expected).hex()
-                if sys.version_info < (3, 12):  # the former sum(), uncompensated there
-                    assert path_cost(g, word).hex() == float(sum(terms)).hex()
+                expected = sum(named[u, v] for u, v in zip(walk, walk[1:]))
+                assert Fraction(path_cost(g, word), g.denominator) == expected
             missing = next(
                 ((i, j) for i in range(g.n) for j in range(g.n)
                  if (g.vertices[i], g.vertices[j]) not in named),
@@ -325,21 +352,28 @@ class TestExactCosts:
         g = DirectedGraph(
             tuple("abcdefghi"), tuple(zip("abcdefgh", "bcdefghi")), costs
         )
-        assert exact_costs(g) == (
+        assert g.denominator == 10**5
+        assert [g.arc_cost[i][i + 1] for i in range(8)] == [
             10**4, 2 * 10**4, 3 * 10**4, -5 * 10**4, 2 * 10**5, 1, 10**27, 0,
-        )
-        tenth, fifth, three_tenths = exact_costs(g)[:3]
-        assert tenth + fifth == three_tenths and 0.1 + 0.2 != 0.3
+        ]
+        assert path_cost(g, (0, 1, 2)) == path_cost(g, (2, 3)) and 0.1 + 0.2 != 0.3
 
     def test_parsed_text(self, five_vertex_graph):
-        # repr(4.0) is '4.0': one decimal place
-        assert exact_costs(five_vertex_graph) == tuple(10 * int(c) for c in five_vertex_graph.costs)
+        # integer costs need no denominator; the file's decimals are kept
+        # whole, not rounded to a float
+        assert five_vertex_graph.denominator == 1
+        assert five_vertex_graph.arc_cost[0] == {1: 4, 2: 2, 4: 6}
         g = parse_graph("vertices: a b\na b 2.50\nb a -1e-3\n")
-        assert exact_costs(g) == (2500, -1)
+        assert (g.arc_cost, g.denominator) == (({1: 2500}, {0: -1}), 1000)
+        g = parse_graph("vertices: a b\na b 0.29999999999999999999\nb a 12345678901234567890.5\n")
+        assert g.denominator == 10**20
+        assert g.arc_cost == ({1: 29999999999999999999}, {0: 123456789012345678905 * 10**19})
 
     def test_missing_costs(self, four_vertex_graph):
         with pytest.raises(ValueError):
-            exact_costs(four_vertex_graph)
+            path_cost(four_vertex_graph, (0, 1))
+        assert four_vertex_graph.denominator == 1
+        assert all(c is None for row in four_vertex_graph.arc_cost for c in row.values())
 
 
 class TestVertexPath:
