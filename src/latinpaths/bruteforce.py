@@ -2,7 +2,9 @@
 
 This module deliberately shares nothing with the matrix-power engine beyond
 the graph module: results produced here are used as independent ground truth
-in the test suite and behind the CLI's --engine oracle flag.  Every
+in the test suite and behind the CLI's --engine oracle flag.  Its queries
+check their arguments by the graph's rules, as the kernel's queries do, so
+both engines refuse bad arguments with the same message.  Every
 enumeration answers, as the kernel's queries do, with index words (tuples
 of vertex indices) in canonical order, which is tuple order.
 """
@@ -58,19 +60,13 @@ def _simple_paths_from(graph: DirectedGraph, source: int, max_len: int):
 def dfs_elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int
 ) -> EnumerationResult:
-    s, t = graph.index(source), graph.index(target)
-    if s == t:
-        raise ValueError("source equals target; a path needs distinct endpoints")
-    if not 1 <= k <= graph.n - 1:
-        raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
+    s, t = graph.path_ends(source, target, k)
     hits = (p for p in _simple_paths_from(graph, s, k) if len(p) == k + 1 and p[-1] == t)
     return EnumerationResult(tuple(sorted(hits)), graph.vertices)
 
 
 def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
-    s = graph.index(start)
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
+    s = graph.circuit_start(start, k)
     succ = graph.successors
     if k == 1:
         hits = [(s, s)] if s in succ[s] else []
@@ -86,9 +82,7 @@ def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) 
     """Count all walks of length k from source to target one step at a time:
     after step s, ways[v] is the number of walks of length s from source
     that end at v."""
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-    s, t = graph.index(source), graph.index(target)
+    s, t = graph.walk_ends(source, target, k)
     ways = {s: 1}
     for _ in range(k):
         step: dict[int, int] = {}
@@ -127,6 +121,5 @@ def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[tuple[int, ...]]:
     if kind == "circuit":
         # circuits from v_i come before those from v_{i+1} in canonical order
         return [w for s in graph.vertices for w in dfs_elementary_circuits(graph, s, n).words]
-    if n < 2:
-        raise ValueError("Hamiltonian paths need at least 2 vertices")
+    graph.check_hamiltonian_paths()
     return sorted(p for s in range(n) for p in _simple_paths_from(graph, s, n - 1) if len(p) == n)

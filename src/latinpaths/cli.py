@@ -294,8 +294,7 @@ def _run_matrix(args) -> str:
     graph = _load_graph(args.file)
     n, k, names = graph.n, args.k, graph.vertices
     if args.engine == "oracle":
-        if not 1 <= k <= n:
-            raise ValueError(f"power {k} out of range 1..{n}")
+        graph.check_power(k)
         # off the diagonal of power n: an n-arc path needs n+1 distinct vertices
         entries = [
             [

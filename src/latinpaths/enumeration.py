@@ -3,7 +3,9 @@
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
 elementary circuits).  `latin_powers` computes powers 1..depth in one call,
-all n by default, and returns them.  Each query checks its arguments first
+all n by default, and returns them.  Each query checks its arguments first,
+by the rules `DirectedGraph` holds for both engines (`path_ends`,
+`circuit_start`, `check_power`, `check_hamiltonian_paths`, `walk_ends`),
 and only then calls `latin_powers` itself, to the depth it reads: n-1 for
 Hamiltonian paths, n for every other query.  It reads its words straight
 off the powers it built, as sorted index words (`Word`), and builds no
@@ -254,11 +256,7 @@ def elementary_paths(
 ) -> tuple[Word, ...]:
     """The elementary paths of arc-length k from source to target, as index
     words in canonical order."""
-    i, j = graph.index(source), graph.index(target)
-    if i == j:
-        raise ValueError("source equals target; a path needs distinct endpoints")
-    if not 1 <= k <= graph.n - 1:
-        raise ValueError(f"path length {k} out of range 1..{graph.n - 1}")
+    i, j = graph.path_ends(source, target, k)
     return tuple(latin_powers(graph, word_limit).words(k, i, j))
 
 
@@ -267,9 +265,7 @@ def elementary_circuits(
 ) -> tuple[Word, ...]:
     """The elementary circuits of arc-length k through start, anchored there,
     as index words in canonical order."""
-    i = graph.index(start)
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"circuit length {k} out of range 1..{graph.n}")
+    i = graph.circuit_start(start, k)
     return tuple(latin_powers(graph, word_limit).words(k, i, i))
 
 
@@ -278,8 +274,7 @@ def power_entries(
 ) -> list[list[Sequence[Word]]]:
     """Every entry of the k-th power: rows[i][j] holds the words of entry
     (i, j) in canonical order."""
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"power {k} out of range 1..{graph.n}")
+    graph.check_power(k)
     return latin_powers(graph, word_limit)._dense(k)
 
 
@@ -288,8 +283,7 @@ def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
     off-diagonal words of power n-1, the deepest power built.  Power n
     never holds more words than power n-1, so stopping there changes no
     guard outcome."""
-    if graph.n < 2:
-        raise ValueError("Hamiltonian paths need at least 2 vertices")
+    graph.check_hamiltonian_paths()
     found = []
     for i, row in enumerate(latin_powers(graph, word_limit, graph.n - 1).sparse[-1]):
         for j, words in row.items():
@@ -340,9 +334,7 @@ def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     """Number of all (not necessarily elementary) paths of length k, in
     exact integers: column j of the left recurrence A^[k] = A A^[k-1] over
     successor lists, x_1 = A[:, j] and x_k = A x_{k-1}, in O(k m)."""
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-    i, j = graph.index(source), graph.index(target)
+    i, j = graph.walk_ends(source, target, k)
     succ = graph.successors
     column = [int(j in targets) for targets in succ]
     for _ in range(k - 1):
@@ -353,9 +345,7 @@ def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
 def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     """`count_paths` by generic left powers of the adjacency matrix over
     the naturals: the reference it is checked against."""
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-    i, j = graph.index(source), graph.index(target)
+    i, j = graph.walk_ends(source, target, k)
     return mat_power_left(adjacency_matrix(graph), k).rows[i][j]
 
 
@@ -365,8 +355,8 @@ def _selection(
     """The checks of an optimal query, in the order both selections report
     them, before any candidate is built: the sign that makes the objective
     a minimum (1 for "min", -1 for "max") and the indices of the ends."""
-    if kind == "path" and graph.n < 2:
-        raise ValueError("Hamiltonian paths need at least 2 vertices")
+    if kind == "path":
+        graph.check_hamiltonian_paths()
     if graph.costs is None:
         raise ValueError("optimal selection needs arc costs")
     if objective not in ("min", "max"):

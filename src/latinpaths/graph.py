@@ -7,6 +7,7 @@ non-comment line is "vertices: v1 v2 ... vn"; every following line is
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -78,11 +79,42 @@ class DirectedGraph:
     def n(self) -> int:
         return len(self.vertices)
 
+    # Every query's argument rules, for both engines; each is raised here only.
     def index(self, name: str) -> int:
         try:
             return self.vertex_index[name]
         except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
+
+    def path_ends(self, source: str, target: str, k: int) -> tuple[int, int]:
+        """The ends of an elementary path of arc-length k, names first."""
+        i, j = self.index(source), self.index(target)
+        if i == j:
+            raise ValueError("source equals target; a path needs distinct endpoints")
+        if not 1 <= k <= self.n - 1:
+            raise ValueError(f"path length {k} out of range 1..{self.n - 1}")
+        return i, j
+
+    def circuit_start(self, start: str, k: int) -> int:
+        """The start of an elementary circuit of arc-length k, name first."""
+        i = self.index(start)
+        if not 1 <= k <= self.n:
+            raise ValueError(f"circuit length {k} out of range 1..{self.n}")
+        return i
+
+    def check_power(self, k: int) -> None:
+        if not 1 <= k <= self.n:
+            raise ValueError(f"power {k} out of range 1..{self.n}")
+
+    def check_hamiltonian_paths(self) -> None:
+        if self.n < 2:
+            raise ValueError("Hamiltonian paths need at least 2 vertices")
+
+    def walk_ends(self, source: str, target: str, k: int) -> tuple[int, int]:
+        """The ends of a walk of length k, k first."""
+        if k < 1:
+            raise ValueError("path length must be at least 1")
+        return self.index(source), self.index(target)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,14 +235,19 @@ def cost_text(graph: DirectedGraph, total: int, as_json: bool = False) -> str:
     """The exact cost total/graph.denominator (`path_cost`, or one entry of
     `arc_cost`) as text.  In text an integral cost prints as its digits.
     Otherwise it prints as the repr of its float when that text stands for
-    it exactly, else as its exact decimal; both are valid JSON numbers."""
+    it exactly, else (beyond the float range too) as its exact decimal;
+    both are valid JSON numbers.  Digits are written through `Decimal`,
+    which is exact and, unlike `str(int)`, has no cap on their number."""
     denominator = graph.denominator
-    if not as_json and total % denominator == 0:
-        return str(total // denominator)
-    if denominator == 1 and -(2**53) < total < 2**53:
-        return repr(float(total))  # a float holds it, and its repr is its digits
-    exact = Decimal(f"{total}e-{len(str(denominator)) - 1}")
-    text = repr(total / denominator)
-    if Decimal(text) == exact:
-        return text
-    return format(exact, "f").rstrip("0") if total % denominator else str(total // denominator)
+    whole, part = divmod(total, denominator)
+    if as_json or part:
+        sign, digits, _ = Decimal(total).as_tuple()
+        # denominator is a power of ten: shift the digits by its exponent
+        exact = Decimal((sign, digits, -Decimal(denominator).adjusted()))
+        with contextlib.suppress(OverflowError):  # beyond the float range
+            text = repr(total / denominator)
+            if Decimal(text) == exact:
+                return text
+        if part:
+            return format(exact, "f").rstrip("0")
+    return str(Decimal(whole))

@@ -470,6 +470,12 @@ class TestErrorsAndGuards:
                      "unknown vertex 'nope'", id="optimal-unknown-from"),
         pytest.param("five", ("optimal", "--kind", "circuit", "--to", "nope"),
                      "unknown vertex 'nope'", id="optimal-unknown-to"),
+        pytest.param("four", ("count", "-i", "v1", "-j", "v2", "-k", "0"),
+                     "path length must be at least 1", id="count-k"),
+        pytest.param("four", ("count", "-i", "nope", "-j", "v2", "-k", "1"),
+                     "unknown vertex 'nope'", id="count-unknown-vertex"),
+        pytest.param("four", ("count", "-i", "nope", "-j", "v2", "-k", "0"),
+                     "path length must be at least 1", id="count-k-before-names"),
     ])
     def test_arguments_are_checked_before_any_build(
         self, four_file, five_file, tmp_path, monkeypatch, engine, graph, argv, message
@@ -494,7 +500,9 @@ class TestErrorsAndGuards:
         one = tmp_path / "one.txt"
         one.write_text("vertices: a\na a 1\n")
         path = {"four": four_file, "five": five_file, "one": str(one)}[graph]
-        result = run_cli(command, path, *rest, "--limit", "1", "--engine", engine)
+        # count takes no --limit
+        limit = () if command == "count" else ("--limit", "1")
+        result = run_cli(command, path, *rest, *limit, "--engine", engine)
         assert result == (2, "", f"error: {message}\n")
 
     def test_resource_guard(self, five_file):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinpaths.bruteforce import dfs_count_all_paths
 from latinpaths.enumeration import (
     WordLimitError,
     adjacency_matrix,
@@ -199,6 +200,18 @@ class TestCountPaths:
             count_paths(four_vertex_graph, "v1", "v4", 0)
         with pytest.raises(ValueError):
             count_paths_reference(four_vertex_graph, "v1", "v4", 0)
+
+    @pytest.mark.parametrize("source, k, message", [
+        ("v1", 0, "path length must be at least 1"),
+        ("v1", -3, "path length must be at least 1"),
+        ("nope", 1, "unknown vertex 'nope'"),
+        ("nope", 0, "path length must be at least 1"),  # k before names
+    ])
+    def test_reference_and_oracle_refuse_alike(self, four_vertex_graph, source, k, message):
+        for count in (count_paths, count_paths_reference, dfs_count_all_paths):
+            with pytest.raises(ValueError) as refused:
+                count(four_vertex_graph, source, "v4", k)
+            assert str(refused.value) == message, count.__name__
 
     def test_matches_adjacency_powers_on_corpus(self, corpus):
         # one (source, target) pair per length, cycling through all pairs

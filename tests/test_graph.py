@@ -1,5 +1,7 @@
+import json
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from latinpaths.graph import (
     GraphParseError,
     PathError,
     VertexPath,
+    cost_text,
     parse_graph,
     path_cost,
     serialize_graph,
@@ -140,6 +143,36 @@ class TestSerialize:
     def test_arc_order(self):
         g = parse_graph("vertices: a b\nb a\na b\n")
         assert serialize_graph(g) == "vertices: a b\na b\nb a\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text cap"
+    )
+    def test_round_trip_beyond_the_int_text_cap(self):
+        # a cost of 5,001 digits puts the denominator past the default cap
+        # of 4,300 digits on int-to-text conversion
+        text = "vertices: a b\na b 0." + "3" * 5000 + "\n"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert serialize_graph(parse_graph(text)) == text
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+class TestCostText:
+    def test_total_beyond_the_float_range(self):
+        # parse_graph bounds the sum of |cost|; a graph built directly may not
+        g = DirectedGraph(("a", "b", "c"), (("a", "b"), ("b", "c")), (1e308, 1e308))
+        total = path_cost(g, word_of(g, "a-b-c"))
+        assert total == 2 * 10**308
+        assert cost_text(g, total) == str(total)
+        assert json.loads(cost_text(g, total, as_json=True)) == total
+        # not integral either: both modes print the exact decimal
+        g = DirectedGraph(g.vertices, g.arcs, (1e308, Decimal("1" + "0" * 308 + ".5")))
+        total = path_cost(g, word_of(g, "a-b-c"))
+        text = cost_text(g, total, as_json=True)
+        assert text == cost_text(g, total) == "2" + "0" * 308 + ".5"
+        assert Fraction(json.loads(text, parse_float=Decimal)) == Fraction(total, g.denominator)
 
 
 # Tokens of edge-list text: names, some of them starting with '#', and cost
