@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
+import os
 import sys
+from collections.abc import Iterator
 
 from . import bruteforce, enumeration
 from .graph import (
@@ -131,10 +134,27 @@ def _query(command: str, fields, args) -> dict:
     return {"command": command, **{key: getattr(args, name) for key, name in fields}}
 
 
-def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
-    """The answer of an enumeration command; `items` are index words in
-    canonical order.  JSON is written as text in the layout of
-    `json.dumps(payload, indent=2)`, with names encoded once per vertex;
+# Items (or matrix rows) rendered into each chunk of output: few writes,
+# and no answer held whole as one string.
+_BATCH = 1024
+
+
+def _chunks(head: str, pieces, separator: str, tail: str) -> Iterator[str]:
+    """`head`, the `pieces` joined by `separator`, then `tail`, as a stream of
+    chunks of at most `_BATCH` pieces each."""
+    yield head
+    pieces = iter(pieces)
+    joiner = ""
+    while batch := list(itertools.islice(pieces, _BATCH)):
+        yield joiner + separator.join(batch)
+        joiner = separator
+    yield tail
+
+
+def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> Iterator[str]:
+    """The answer of an enumeration command, as chunks of text; `items` are
+    index words in canonical order.  JSON is written as text in the layout
+    of `json.dumps(payload, indent=2)`, with names encoded once per vertex;
     `path_cost` prices each item once and `cost_text` writes its cost."""
     costed = graph.costs is not None
     # items share few totals: each is rendered once
@@ -143,10 +163,10 @@ def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
         quoted = [
             "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
         ].__getitem__
-        parts = []
-        for w in items:
+
+        def render(w):
             cost = cost_of(path_cost(graph, w)) if costed else "null"
-            parts.append(
+            return (
                 '    {\n      "vertices": [\n'
                 + ",\n".join(map(quoted, w))
                 + '\n      ],\n      "length": '
@@ -155,20 +175,25 @@ def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> str:
                 + cost
                 + "\n    }"
             )
-        body = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+
         head = json.dumps(query, indent=2).replace("\n", "\n  ")
-        return (
-            '{\n  "query": ' + head + ',\n  "items": ' + body
-            + ',\n  "count": ' + str(len(parts)) + "\n}\n"
+        yield from _chunks(
+            '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" if items else "[]"),
+            map(render, items),
+            ",\n",
+            ("\n  ]" if items else "") + ',\n  "count": ' + str(len(items)) + "\n}\n",
         )
-    if not items:
-        return none_text
-    name = graph.vertices.__getitem__
-    if costed:
-        lines = ["-".join(map(name, w)) + " cost=" + cost_of(path_cost(graph, w)) for w in items]
+    elif not items:
+        yield none_text
     else:
-        lines = ["-".join(map(name, w)) for w in items]
-    return "\n".join(lines) + "\n"
+        name = graph.vertices.__getitem__
+        if costed:
+            lines = (
+                "-".join(map(name, w)) + " cost=" + cost_of(path_cost(graph, w)) for w in items
+            )
+        else:
+            lines = ("-".join(map(name, w)) for w in items)
+        yield from _chunks("", lines, "\n", "\n")
 
 
 def _dot_quote(text: str) -> str:
@@ -247,7 +272,7 @@ _ENUMERATIONS = {
 }
 
 
-def _run_enumeration(args) -> str:
+def _run_enumeration(args) -> Iterator[str]:
     lcdl, oracle, fields, none_text = _ENUMERATIONS[args.command]
     graph = _load_graph(args.file)
     items = (oracle if args.engine == "oracle" else lcdl)(graph, args)
@@ -271,15 +296,15 @@ def _any_int_length():
         sys.set_int_max_str_digits(saved)
 
 
-def _run_count(args) -> str:
+def _run_count(args) -> list[str]:
     graph = _load_graph(args.file)
     if args.engine == "oracle":
         value = bruteforce.dfs_count_all_paths(graph, args.i, args.j, args.k)
     else:
         value = enumeration.count_paths(graph, args.i, args.j, args.k)
     if args.format == "json":
-        return _json({"query": _query("count", _PAIR_FIELDS, args), "value": value})
-    return f"{value}\n"
+        return [_json({"query": _query("count", _PAIR_FIELDS, args), "value": value})]
+    return [f"{value}\n"]
 
 
 def _render_entry(graph: DirectedGraph, words) -> str:
@@ -290,7 +315,7 @@ def _render_entry(graph: DirectedGraph, words) -> str:
     return "{" + ", ".join("-".join(map(name, w)) for w in words) + "}"
 
 
-def _run_matrix(args) -> str:
+def _run_matrix(args) -> Iterator[str]:
     graph = _load_graph(args.file)
     n, k, names = graph.n, args.k, graph.vertices
     if args.engine == "oracle":
@@ -308,16 +333,19 @@ def _run_matrix(args) -> str:
         entries = enumeration.power_entries(graph, k, args.limit)
     rendered = [[_render_entry(graph, words) for words in row] for row in entries]
     if args.format == "json":
-        return _json({"query": {"command": "matrix", "k": k}, "rows": rendered})
+        # the layout of json.dumps(payload, indent=2), a row at a time
+        head = json.dumps({"command": "matrix", "k": k}, indent=2).replace("\n", "\n  ")
+        rows = ("    " + json.dumps(row, indent=2).replace("\n", "\n    ") for row in rendered)
+        return _chunks('{\n  "query": ' + head + ',\n  "rows": [\n', rows, ",\n", "\n  ]\n}\n")
     widths = [max(len(r[j]) for r in rendered) for j in range(n)]
-    lines = [
+    lines = (
         "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
         for row in rendered
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
+    return _chunks("", lines, "\n", "\n")
 
 
-def _run_words(args) -> str:
+def _run_words(args) -> list[str]:
     if args.n is not None:
         if args.n < 1:
             raise ValueError("alphabet size must be positive")
@@ -337,10 +365,10 @@ def _run_words(args) -> str:
         payload = {"query": {"command": "words", "alphabet": list(symbols)}, "sigma": sigma}
         if rendered is not None:
             payload["words"] = rendered
-        return _json(payload)
+        return [_json(payload)]
     if args.count_only:
-        return f"{sigma}\n"
-    return f"sigma: {sigma}\n" + "".join(w + "\n" for w in rendered)
+        return [f"{sigma}\n"]
+    return [f"sigma: {sigma}\n" + "".join(w + "\n" for w in rendered)]
 
 
 _RUNNERS = {
@@ -359,14 +387,24 @@ def main(argv=None) -> int:
     try:
         # counts and word censuses can run to any number of digits
         with _any_int_length():
-            output = _RUNNERS[args.command](args)
+            # a runner checks its arguments, applies the guard and computes
+            # the whole answer before it returns; the chunks it returns only
+            # render that answer, so stdout stays empty unless the run succeeds
+            sys.stdout.writelines(_RUNNERS[args.command](args))
+            # a closed pipe is met here, not in the flush at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe (`latinpaths ... | head`): point
+        # stdout at devnull, so the flush at exit writes nowhere and stays
+        # quiet, as Python's notes on SIGPIPE show
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except enumeration.WordLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # parse, path and alphabet errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(output)
     return EXIT_OK
 
 

@@ -90,14 +90,20 @@ def corpus():
     return build_corpus()
 
 
-def run_python(*argv) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports latinpaths from this source tree."""
+def source_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports latinpaths from
+    this source tree."""
     source_root = str(Path(latinpaths.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (source_root, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports latinpaths from this source tree."""
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=source_env(),
         timeout=60,
     )

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -918,7 +919,7 @@ class TestEmitter:
         expected = json.dumps(payload, indent=2) + "\n"
         for k, cost in enumerate(costs):
             expected = expected.replace(f'"@cost{k}@"', str(cost))
-        out = _emit_result(graph, query, items, "json", "")
+        out = "".join(_emit_result(graph, query, items, "json", ""))
         assert out == expected
         parsed = json.loads(out, parse_float=Decimal)["items"]
         for p, item in zip(paths, parsed):
@@ -937,7 +938,7 @@ class TestEmitter:
         else:
             lines = ["-".join(p) for p in paths]
         expected = "".join(line + "\n" for line in lines) if items else "none\n"
-        assert _emit_result(graph, query, items, "text", "none\n") == expected
+        assert "".join(_emit_result(graph, query, items, "text", "none\n")) == expected
 
     def test_cost_is_the_exact_sum(self, tmp_path):
         # in floats, (0.1 + 0.2) + 0.3 is 0.6000000000000001 and a
@@ -993,21 +994,60 @@ class TestEmitter:
         query = {"command": "optimal", "kind": "circuit", "objective": "min",
                  "from": None, "to": None}
         expected = json.dumps({"query": query, "items": [], "count": 0}, indent=2) + "\n"
-        assert _emit_result(graph, query, [], "json", "none\n") == expected
-        assert _emit_result(graph, query, [], "text", "none\n") == "none\n"
-        assert _emit_result(graph, query, [], "text", "") == ""
+        assert "".join(_emit_result(graph, query, [], "json", "none\n")) == expected
+        assert "".join(_emit_result(graph, query, [], "text", "none\n")) == "none\n"
+        assert "".join(_emit_result(graph, query, [], "text", "")) == ""
 
     def test_names_beyond_ascii(self):
         graph = DirectedGraph(("é", "\x1f", "中"), (("é", "\x1f"), ("\x1f", "中")), (1.5, -0.0))
         query = {"command": "hamiltonian", "kind": "path"}
         items = [(0, 1, 2)]
-        assert _emit_result(graph, query, items, "text", "") == "é-\x1f-中 cost=1.5\n"
+        assert "".join(_emit_result(graph, query, items, "text", "")) == "é-\x1f-中 cost=1.5\n"
         payload = {
             "query": query,
             "items": [{"vertices": ["é", "\x1f", "中"], "length": 2, "cost": 1.5}],
             "count": 1,
         }
-        assert _emit_result(graph, query, items, "json", "") == json.dumps(payload, indent=2) + "\n"
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert "".join(_emit_result(graph, query, items, "json", "")) == expected
+
+    def test_answers_beyond_one_batch(self):
+        """Weighted K7's 5,040 Hamiltonian paths are rendered over several
+        chunks; joined, they are the text of one dump."""
+        names = tuple(f"v{i}" for i in range(1, 8))
+        arcs = tuple((u, v) for u in names for v in names if u != v)
+        graph = DirectedGraph(names, arcs, tuple(range(1, len(arcs) + 1)))
+        items = enumeration.hamiltonian(graph, "path")
+        paths = [[names[i] for i in w] for w in items]
+        query = {"command": "hamiltonian", "kind": "path"}
+        chunks = list(_emit_result(graph, query, items, "json", ""))
+        payload = {
+            "query": query,
+            "items": [_item_json(p, float(_named_cost(graph, p))) for p in paths],
+            "count": len(items),
+        }
+        assert len(chunks) > 3
+        assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+        lines = [f"{'-'.join(p)} cost={_named_cost(graph, p)}\n" for p in paths]
+        chunks = list(_emit_result(graph, query, items, "text", ""))
+        assert len(chunks) > 3
+        assert "".join(chunks) == "".join(lines)
+
+    def test_json_is_never_held_whole(self):
+        """K8's 40,320 Hamiltonian paths come to 7.7 MB of JSON; drained a
+        chunk at a time, the emitter's memory stays far below that."""
+        names = tuple(f"v{i}" for i in range(1, 9))
+        graph = DirectedGraph(names, tuple((u, v) for u in names for v in names if u != v))
+        items = enumeration.hamiltonian(graph, "path")
+        query = {"command": "hamiltonian", "kind": "path"}
+        tracemalloc.start()
+        try:
+            size = sum(map(len, _emit_result(graph, query, items, "json", "")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 7_500_000
+        assert peak < 2_000_000
 
 
 # Argument vocabulary of the fuzz test: known and unknown vertex names,

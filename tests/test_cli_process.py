@@ -3,12 +3,14 @@ the parser it builds once, on the first `main` call."""
 
 import contextlib
 import io
+import subprocess
+import sys
 
 import pytest
 
 from latinpaths.cli import main
 
-from conftest import FIVE_VERTEX_TEXT, run_python
+from conftest import FIVE_VERTEX_TEXT, run_python, source_env
 
 
 def test_parser_is_built_once_on_first_use():
@@ -65,3 +67,30 @@ def test_module_limit_exits_3(five_file):
                       "--limit", "1")
     assert (done.returncode, done.stdout) == (3, "")
     assert "limit" in done.stderr
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """`latinpaths hamiltonian K7 --kind path | head -c 100`: the answer,
+    105,840 bytes, outgrows the pipe's buffer, so the reader closes the
+    pipe while the answer is still being written.  The run exits 0 and
+    writes nothing on stderr."""
+    names = [f"v{i}" for i in range(1, 8)]
+    path = tmp_path / "k7.txt"
+    path.write_text(
+        "vertices: " + " ".join(names) + "\n"
+        + "".join(f"{u} {v}\n" for u in names for v in names if u != v)
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "latinpaths.cli", "hamiltonian", str(path), "--kind", "path"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=source_env(),
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert head.startswith(b"v1-v2-v3-v4-v5-v6-v7\nv1-v2-v3-v4-v5-v7-v6\n")
+    assert (proc.returncode, stderr.decode()) == (0, "")
