@@ -26,7 +26,7 @@ from .graph import (
 from .words import (
     EMPTY_RENDERING,
     Alphabet,
-    enumerate_distinguished,
+    distinguished_in_order,
     sigma_count,
 )
 
@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=_positive_int,
         default=enumeration.DEFAULT_WORD_LIMIT,
-        help="stored-word guard on each latin power, or on the entries of each "
-        "power of the optimal recurrence (lcdl engine only)",
+        help="word guard on each latin power, its paths and circuits, or on the "
+        "entries of each power of the optimal recurrence (lcdl engine only)",
     )
     dot = _flag("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")
     enumerating = [fmt, engine, limit, dot]
@@ -345,7 +345,7 @@ def _run_matrix(args) -> Iterator[str]:
     return _chunks("", lines, "\n", "\n")
 
 
-def _run_words(args) -> list[str]:
+def _run_words(args) -> Iterator[str]:
     if args.n is not None:
         if args.n < 1:
             raise ValueError("alphabet size must be positive")
@@ -354,21 +354,21 @@ def _run_words(args) -> list[str]:
         symbols = tuple(s for s in args.alphabet.split(",") if s)
     alphabet = Alphabet(symbols)
     sigma = sigma_count(alphabet.n)
-    rendered = None
-    if not args.count_only:
-        all_words = enumerate_distinguished(alphabet)
-        rendered = [
-            w.render(alphabet)
-            for w in sorted(all_words, key=lambda w: (len(w.indices), w.indices))
-        ]
-    if args.format == "json":
-        payload = {"query": {"command": "words", "alphabet": list(symbols)}, "sigma": sigma}
-        if rendered is not None:
-            payload["words"] = rendered
-        return [_json(payload)]
+    payload = {"query": {"command": "words", "alphabet": list(symbols)}, "sigma": sigma}
     if args.count_only:
-        return [f"{sigma}\n"]
-    return [f"sigma: {sigma}\n" + "".join(w + "\n" for w in rendered)]
+        return [_json(payload) if args.format == "json" else f"{sigma}\n"]
+    symbol = symbols.__getitem__
+    rendered = (
+        "-".join(map(symbol, w)) if w else EMPTY_RENDERING
+        for w in distinguished_in_order(alphabet)
+    )
+    if args.format == "json":
+        # the layout of json.dumps(payload, indent=2) with a "words" list,
+        # never empty, as it holds the empty word
+        head = json.dumps(payload, indent=2).removesuffix("\n}") + ',\n  "words": [\n'
+        words = ("    " + json.dumps(w) for w in rendered)
+        return _chunks(head, words, ",\n", "\n  ]\n}\n")
+    return _chunks(f"sigma: {sigma}\n", rendered, "\n", "\n")
 
 
 _RUNNERS = {
@@ -389,7 +389,9 @@ def main(argv=None) -> int:
         with _any_int_length():
             # a runner checks its arguments, applies the guard and computes
             # the whole answer before it returns; the chunks it returns only
-            # render that answer, so stdout stays empty unless the run succeeds
+            # render that answer (`words` makes its words as they are
+            # written, as nothing can fail after its checks), so stdout
+            # stays empty unless the run succeeds
             sys.stdout.writelines(_RUNNERS[args.command](args))
             # a closed pipe is met here, not in the flush at exit
             sys.stdout.flush()

@@ -16,13 +16,18 @@ the CLI writes the answer.  Nothing is cached across calls.
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
 Every entry of L is the single word v_i v_m, so entry (i, j) of the product
 prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
-(i, m); when j = i the prepended word closes a circuit.  A word is the
-bare tuple of its vertex indices, with no word or language objects per
-intermediate, and a power is n sparse rows that store only nonempty
-entries, so a power costs its words, not n^2.  Each entry comes out in
-canonical order, since m ascends and every entry of L^[k-1] is in that
-order already.  The generic product over the semiring of distinguished
-languages stays as the executable reference: `latin_matrix` builds L from
+(i, m); when j = i the prepended word closes a circuit.  A circuit is
+cyclic and absorbs in every later product, so the kernel counts the
+circuits of each row into the explosion guard but stores none: the guard
+counts every word of the power, paths and circuits, and
+`LatinPowerSequence.words` builds a diagonal entry on read, by the same
+prepending over power k-1.  A word is the bare tuple of its vertex
+indices, with no word or language objects per intermediate, and a power
+is n sparse rows that store only nonempty off-diagonal entries, so a
+power costs its paths, not n^2.  Each entry comes out in canonical order,
+since m ascends and every entry of L^[k-1] is in that order already.
+The generic product over the semiring of distinguished languages stays
+as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and
 `LatinPowerSequence.power` rebuilds a kernel power in that representation,
 on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
@@ -53,7 +58,8 @@ DEFAULT_WORD_LIMIT = 1_000_000
 
 
 class WordLimitError(RuntimeError):
-    """A latin power exceeded the stored-word guard."""
+    """A latin power holds more words than the guard allows: its paths and
+    its circuits, whether the kernel stores them or derives them on read."""
 
     def __init__(self, k: int, limit: int):
         super().__init__(f"latin power {k} holds more words than the limit of {limit}")
@@ -69,8 +75,8 @@ class DiagonalInvariantError(AssertionError):
 # circuits, whose first index is repeated at the end.
 Word = tuple[int, ...]
 
-# One latin power: per row i, the nonempty entries (i, j) as j -> their
-# words in canonical order.
+# The paths of one latin power: per row i, the nonempty entries (i, j),
+# j != i, as j -> their words in canonical order.
 SparsePower = list[dict[int, list[Word]]]
 
 
@@ -97,18 +103,27 @@ class WordMatrix:
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
     vertices: tuple[str, ...]
-    sparse: tuple[SparsePower, ...]  # sparse[k-1] is the k-th left power
+    sparse: tuple[SparsePower, ...]  # sparse[k-1]: the paths of the k-th left power
+    loops: frozenset[int]  # the vertices with a self-loop: power 1's diagonal
 
     def words(self, k: int, i: int, j: int) -> Sequence[Word]:
         """The words of entry (i, j) of the k-th power, in canonical order.
-        Read only: the list is the power's own."""
-        return self.sparse[k - 1][i].get(j, ())
-
-    def _dense(self, k: int) -> list[list[Sequence[Word]]]:
+        Off the diagonal the list is the power's own, read only.  A diagonal
+        entry, the circuits through v_i, is a fresh list built on each call:
+        v_i prepended to the paths of entry (m, i) of power k-1 over the
+        arcs (i, m), m ascending, or at k = 1 the self-loop's word."""
         if not 1 <= k <= len(self.sparse):
             raise ValueError(f"power {k} out of range 1..{len(self.sparse)}")
+        if i != j:
+            return self.sparse[k - 1][i].get(j, ())
+        if k == 1:
+            return [(i, i)] if i in self.loops else []
+        prev = self.sparse[k - 2]
+        return [(i,) + w for m in self.sparse[0][i] for w in prev[m].get(i, ())]
+
+    def _dense(self, k: int) -> list[list[Sequence[Word]]]:
         n = len(self.vertices)
-        return [[row.get(j, ()) for j in range(n)] for row in self.sparse[k - 1]]
+        return [[self.words(k, i, j) for j in range(n)] for i in range(n)]
 
     def power(self, k: int) -> SemiringMatrix:
         """The k-th power as a matrix of distinguished languages, equal to
@@ -119,7 +134,8 @@ class LatinPowerSequence:
     def powers(self) -> tuple[WordMatrix, ...]:
         """Every power as a dense matrix of entries, powers[k-1] the k-th.
         Built on each access, for readers that walk whole powers; read
-        only, as the entries share the powers' word lists."""
+        only, as the entries off the diagonal share the powers' word
+        lists."""
         empty = PowerEntry(())
         return tuple(
             WordMatrix(
@@ -137,7 +153,8 @@ def latin_powers(
 ) -> LatinPowerSequence:
     """Left powers 1..depth of the latin matrix, all n by default, with the
     explosion guard on each of them, the first included, and, when the
-    n-th power is built, the structural check that it is diagonal.
+    n-th power is built, the structural check that it is diagonal.  Only
+    the paths are stored; the guard counts each power's circuits too.
 
     Stopping at depth n-1 changes no guard outcome: w -> w[:-1] maps the
     words of power n one-to-one into power n-1, so power n never holds
@@ -150,10 +167,10 @@ def latin_powers(
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
         raise WordLimitError(1, word_limit)
     succ = graph.successors
-    prev: SparsePower = [{m: [(i, m)] for m in succ[i]} for i in range(n)]
-    powers = [prev]
     # A self-loop's word is cyclic and absorbs every product it enters.
     steps = [[m for m in succ[i] if m != i] for i in range(n)]
+    prev: SparsePower = [{m: [(i, m)] for m in steps[i]} for i in range(n)]
+    powers = [prev]
     for k in range(2, depth + 1):
         cur: SparsePower = []
         count = 0
@@ -162,15 +179,14 @@ def latin_powers(
             head = (i,)
             for m in steps[i]:
                 for j, words in prev[m].items():
-                    # Entry (m, m) holds circuits only, which absorb.
-                    if j == m:
+                    if j == i:
+                        # every word closes a circuit at v_i, which absorbs
+                        # in every later product: counted, not stored
+                        count += len(words)
                         continue
-                    if j == i:  # every word ends at v_i: close the circuit
-                        new = [head + w for w in words]
-                    else:
-                        new = [head + w for w in words if i not in w]
-                        if not new:
-                            continue
+                    new = [head + w for w in words if i not in w]
+                    if not new:
+                        continue
                     if j in row:
                         row[j] += new
                     else:
@@ -185,12 +201,12 @@ def latin_powers(
         prev = cur
     if depth == n:
         for i, row in enumerate(prev):
-            for j in row:
-                if j != i:
-                    raise DiagonalInvariantError(
-                        f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
-                    )
-    return LatinPowerSequence(graph.vertices, tuple(powers))
+            for j in row:  # every stored entry is off the diagonal
+                raise DiagonalInvariantError(
+                    f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
+                )
+    loops = frozenset(i for i in range(n) if i in succ[i])
+    return LatinPowerSequence(graph.vertices, tuple(powers), loops)
 
 
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
@@ -280,15 +296,14 @@ def power_entries(
 
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
-    off-diagonal words of power n-1, the deepest power built.  Power n
-    never holds more words than power n-1, so stopping there changes no
-    guard outcome."""
+    stored words of power n-1, the deepest power built.  Power n never
+    holds more words than power n-1, so stopping there changes no guard
+    outcome."""
     graph.check_hamiltonian_paths()
     found = []
-    for i, row in enumerate(latin_powers(graph, word_limit, graph.n - 1).sparse[-1]):
-        for j, words in row.items():
-            if j != i:
-                found += words
+    for row in latin_powers(graph, word_limit, graph.n - 1).sparse[-1]:
+        for words in row.values():
+            found += words
     # each entry is in canonical order already: this merges sorted runs
     found.sort()
     return found
@@ -298,8 +313,9 @@ def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LI
     """Every elementary circuit of arc-length n, anchored per start vertex,
     in canonical order: the diagonal of power n, whose entry (i, i) holds
     the words that start at v_i."""
-    top = latin_powers(graph, word_limit).sparse[-1]
-    return [w for i, row in enumerate(top) for w in row.get(i, ())]
+    n = graph.n
+    powers = latin_powers(graph, word_limit)
+    return [w for i in range(n) for w in powers.words(n, i, i)]
 
 
 def hamiltonian(

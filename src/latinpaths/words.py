@@ -9,6 +9,7 @@ collapses to the empty word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
@@ -170,17 +171,27 @@ def sigma_count(n: int) -> int:
 
 def enumerate_distinguished(alphabet: Alphabet) -> frozenset[DistinguishedWord]:
     """All distinguished words over the alphabet, the empty word included."""
+    return frozenset(map(DistinguishedWord.from_indices, distinguished_in_order(alphabet)))
+
+
+def distinguished_in_order(alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
+    """The indices of every distinguished word over the alphabet, the empty
+    word included, by length, then in index order, made one at a time as
+    they are read.  The enumeration cap is checked on the call."""
     n = alphabet.n
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"alphabet size {n} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    words = {EMPTY_WORD}
-    for k in range(1, n + 1):
-        for perm in permutations(range(n), k):
-            mask = _bitmask(perm)
-            words.add(DistinguishedWord(perm, WordKind.SIMPLE, mask))
-            words.add(
-                DistinguishedWord(perm + (perm[0],), WordKind.SIMPLE_CYCLIC, mask)
-            )
-    return frozenset(words)
+
+    def ordered():
+        yield ()
+        for k in range(1, n + 2):
+            # the k-1 symbols before the last are distinct: the last one is
+            # new (a simple word) or closes the word (a simple cyclic one)
+            for p in permutations(range(n), k - 1):
+                for x in range(n):
+                    if x not in p or x == p[0]:
+                        yield p + (x,)
+
+    return ordered()

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinpaths import bruteforce, enumeration
-from latinpaths.cli import _emit_result, main
+from latinpaths.cli import _emit_result, _run_words, build_parser, main
 from latinpaths.enumeration import WordLimitError, latin_powers
 from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
+from latinpaths.words import Alphabet, enumerate_distinguished
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
 
@@ -126,9 +127,14 @@ class TestHamiltonian:
         assert payload["items"][0]["vertices"] == ["v1", "v2", "v3", "v4"]
 
 
-def _stored_words(powers) -> list[int]:
-    """Words stored in each power of a `LatinPowerSequence`."""
-    return [sum(len(words) for row in power for words in row.values()) for power in powers.sparse]
+def _power_words(powers) -> list[int]:
+    """Words in each power of a `LatinPowerSequence`, as the guard counts
+    them: paths and circuits, though only the paths are stored."""
+    n = len(powers.vertices)
+    return [
+        sum(len(powers.words(k, i, j)) for i in range(n) for j in range(n))
+        for k in range(1, len(powers.sparse) + 1)
+    ]
 
 
 class TestPowersBuilt:
@@ -171,7 +177,7 @@ def assert_path_guard_matches_full_powers(graph, path):
     query exits 3 exactly when building all n powers under L fails, with
     the same message, and power n holds no more words than power n-1."""
     path.write_text(serialize_graph(graph))
-    counts = _stored_words(latin_powers(graph))
+    counts = _power_words(latin_powers(graph))
     assert counts[-1] <= counts[-2], counts
     for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
         code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", "--limit", str(limit))
@@ -405,6 +411,31 @@ class TestWords:
     def test_cap(self):
         code, _, _ = run_cli("words", "-n", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_listing_is_streamed(self, fmt):
+        """`words -n 7`, 27,399 words, is the sorted census in the layout of
+        one `json.dumps(indent=2)` (or a line per word), written a batch at
+        a time: neither the words nor the text are held whole."""
+        alphabet = Alphabet(tuple("1234567"))
+        census = sorted(enumerate_distinguished(alphabet), key=lambda w: (len(w.indices), w.indices))
+        listing = [w.render(alphabet) for w in census]
+        if fmt == "json":
+            query = {"command": "words", "alphabet": list(alphabet.symbols)}
+            payload = {"query": query, "sigma": len(listing), "words": listing}
+            expected = json.dumps(payload, indent=2) + "\n"
+        else:
+            expected = f"sigma: {len(listing)}\n" + "".join(w + "\n" for w in listing)
+        args = build_parser().parse_args(["words", "-n", "7", "--format", fmt])
+        assert "".join(_run_words(args)) == expected
+        tracemalloc.start()
+        try:
+            size = sum(map(len, _run_words(args)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(expected) > 350_000
+        assert peak < 2_000_000
 
     def test_census_beyond_the_int_text_cap(self):
         # sigma(1600) has 4,435 digits, over the 4,300 Python 3.11 converts

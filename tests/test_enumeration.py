@@ -442,13 +442,34 @@ def assert_kernel_matches_reference(g):
     for k, expected in enumerate(reference, start=1):
         assert powers.power(k) == expected, k
         assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
-        # sparse rows: no empty entry is stored, and each is in canonical order
-        for row in powers.sparse[k - 1]:
+        # sparse rows: no empty and no diagonal entry is stored, and each
+        # entry is in canonical order
+        for i, row in enumerate(powers.sparse[k - 1]):
             assert all(row.values()), k
+            assert i not in row, (k, i)
         for i in range(g.n):
             for j in range(g.n):
                 words = powers.words(k, i, j)
                 assert list(words) == sorted(words), (k, i, j)
+            # the diagonal, derived on read, is the reference's, and fresh
+            circuits = powers.words(k, i, i)
+            assert circuits == sorted(w.indices for w in expected.rows[i][i].words), (k, i)
+            assert circuits is not powers.words(k, i, i)
+    assert_guard_matches_reference_counts(g, [sum(stored_words(p)) for p in reference])
+
+
+def assert_guard_matches_reference_counts(g, counts):
+    """At each limit L that is a power's reference word count or one less,
+    `latin_powers` refuses exactly the first power that holds more than L
+    words, circuits included, or refuses none."""
+    for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
+        over = next((k for k, c in enumerate(counts, start=1) if c > limit), None)
+        if over is None:
+            latin_powers(g, limit)
+        else:
+            with pytest.raises(WordLimitError) as exc:
+                latin_powers(g, limit)
+            assert exc.value.k == over, (g, limit, counts)
 
 
 class TestKernelAgainstReference:

@@ -11,6 +11,7 @@ from latinpaths.words import (
     EnumerationCapError,
     WordKind,
     classify,
+    distinguished_in_order,
     enumerate_distinguished,
     latin_compose,
     sigma_count,
@@ -157,6 +158,18 @@ class TestEnumerate:
         big = Alphabet(tuple(str(i) for i in range(9)))
         with pytest.raises(EnumerationCapError):
             enumerate_distinguished(big)
+        # refused on the call, before any word is read
+        with pytest.raises(EnumerationCapError):
+            distinguished_in_order(big)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_in_order(self, n):
+        # every word once, simple or simple cyclic, by length then indices
+        words = list(distinguished_in_order(Alphabet(tuple(str(i) for i in range(n)))))
+        assert words == sorted(set(words), key=lambda w: (len(w), w))
+        assert len(words) == sigma_count(n)
+        for w in words:
+            assert len(set(w)) == len(w) or (w[0] == w[-1] and len(set(w)) == len(w) - 1)
 
 
 class TestRendering:
