@@ -2,12 +2,12 @@
 
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
-elementary circuits).  `latin_powers` computes powers 1..depth in one call,
-all n by default, and returns them.  Each query checks its arguments first,
-by the rules `DirectedGraph` holds for both engines (`path_ends`,
-`circuit_start`, `check_power`, `check_hamiltonian_paths`, `walk_ends`),
-and only then calls `latin_powers` itself, to the depth it reads: n-1 for
-Hamiltonian paths, n for every other query.  It reads its words straight
+elementary circuits).  `latin_powers` builds powers 1..n-1 in one call and
+returns them; power n, all diagonal, is read off power n-1.  Each query
+checks its arguments first, by the rules `DirectedGraph` holds for both
+engines (`path_ends`, `circuit_start`, `check_power`,
+`check_hamiltonian_paths`, `walk_ends`), and only then calls
+`latin_powers` itself.  It reads its words straight
 off the powers it built, as sorted index words (`Word`), and builds no
 object per answer: names and costs are looked up per vertex index only when
 the CLI writes the answer.  Nothing is cached across calls.
@@ -66,11 +66,6 @@ class WordLimitError(RuntimeError):
         self.k = k
 
 
-class DiagonalInvariantError(AssertionError):
-    """The n-th latin power has a nonzero off-diagonal entry; this indicates
-    a bug in the composition engine, not bad input."""
-
-
 # One word of a latin power: its vertex indices.  Diagonal entries hold
 # circuits, whose first index is repeated at the end.
 Word = tuple[int, ...]
@@ -103,19 +98,21 @@ class WordMatrix:
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
     vertices: tuple[str, ...]
-    sparse: tuple[SparsePower, ...]  # sparse[k-1]: the paths of the k-th left power
+    sparse: tuple[SparsePower, ...]  # sparse[k-1]: the paths of the k-th left power, k < n
     loops: frozenset[int]  # the vertices with a self-loop: power 1's diagonal
 
     def words(self, k: int, i: int, j: int) -> Sequence[Word]:
-        """The words of entry (i, j) of the k-th power, in canonical order.
-        Off the diagonal the list is the power's own, read only.  A diagonal
-        entry, the circuits through v_i, is a fresh list built on each call:
-        v_i prepended to the paths of entry (m, i) of power k-1 over the
-        arcs (i, m), m ascending, or at k = 1 the self-loop's word."""
-        if not 1 <= k <= len(self.sparse):
-            raise ValueError(f"power {k} out of range 1..{len(self.sparse)}")
+        """The words of entry (i, j) of the k-th power, k in 1..n, in
+        canonical order.  Off the diagonal the list is the power's own, read
+        only, and empty at k = n: an n-arc path needs n+1 distinct vertices.
+        A diagonal entry, the circuits through v_i, is a fresh list built on
+        each call: v_i prepended to the paths of entry (m, i) of power k-1
+        over the arcs (i, m), m ascending, or at k = 1 the self-loop's word."""
+        n = len(self.vertices)
+        if not 1 <= k <= n:
+            raise ValueError(f"power {k} out of range 1..{n}")
         if i != j:
-            return self.sparse[k - 1][i].get(j, ())
+            return self.sparse[k - 1][i].get(j, ()) if k < n else ()
         if k == 1:
             return [(i, i)] if i in self.loops else []
         prev = self.sparse[k - 2]
@@ -144,26 +141,20 @@ class LatinPowerSequence:
                     for row in self._dense(k)
                 )
             )
-            for k in range(1, len(self.sparse) + 1)
+            for k in range(1, len(self.vertices) + 1)
         )
 
 
-def latin_powers(
-    graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT, depth: int | None = None
-) -> LatinPowerSequence:
-    """Left powers 1..depth of the latin matrix, all n by default, with the
-    explosion guard on each of them, the first included, and, when the
-    n-th power is built, the structural check that it is diagonal.  Only
-    the paths are stored; the guard counts each power's circuits too.
+def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> LatinPowerSequence:
+    """Left powers 1..n-1 of the latin matrix (power 1 alone when n <= 2),
+    with the explosion guard on each of them, the first included.  Only the
+    paths are stored; the guard counts each power's circuits too.
 
-    Stopping at depth n-1 changes no guard outcome: w -> w[:-1] maps the
-    words of power n one-to-one into power n-1, so power n never holds
-    more words than power n-1."""
+    Power n is not built: it is all diagonal, and `words` reads its
+    circuits off power n-1.  Skipping it changes no guard outcome: w ->
+    w[:-1] maps the words of power n one-to-one into power n-1, so power n
+    never holds more words than power n-1."""
     n = graph.n
-    if depth is None:
-        depth = n
-    elif not 1 <= depth <= n:
-        raise ValueError(f"depth {depth} out of range 1..{n}")
     if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
         raise WordLimitError(1, word_limit)
     succ = graph.successors
@@ -171,7 +162,7 @@ def latin_powers(
     steps = [[m for m in succ[i] if m != i] for i in range(n)]
     prev: SparsePower = [{m: [(i, m)] for m in steps[i]} for i in range(n)]
     powers = [prev]
-    for k in range(2, depth + 1):
+    for k in range(2, n):
         cur: SparsePower = []
         count = 0
         for i in range(n):
@@ -199,12 +190,6 @@ def latin_powers(
             cur.append(row)
         powers.append(cur)
         prev = cur
-    if depth == n:
-        for i, row in enumerate(prev):
-            for j in row:  # every stored entry is off the diagonal
-                raise DiagonalInvariantError(
-                    f"power {n} has a nonzero entry at ({i + 1}, {j + 1})"
-                )
     loops = frozenset(i for i in range(n) if i in succ[i])
     return LatinPowerSequence(graph.vertices, tuple(powers), loops)
 
@@ -296,12 +281,10 @@ def power_entries(
 
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
-    stored words of power n-1, the deepest power built.  Power n never
-    holds more words than power n-1, so stopping there changes no guard
-    outcome."""
+    stored words of power n-1, the deepest power built."""
     graph.check_hamiltonian_paths()
     found = []
-    for row in latin_powers(graph, word_limit, graph.n - 1).sparse[-1]:
+    for row in latin_powers(graph, word_limit).sparse[-1]:
         for words in row.values():
             found += words
     # each entry is in canonical order already: this merges sorted runs

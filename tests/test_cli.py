@@ -133,15 +133,15 @@ def _power_words(powers) -> list[int]:
     n = len(powers.vertices)
     return [
         sum(len(powers.words(k, i, j)) for i in range(n) for j in range(n))
-        for k in range(1, len(powers.sparse) + 1)
+        for k in range(1, n + 1)
     ]
 
 
 class TestPowersBuilt:
-    """`hamiltonian --kind path` reads power n-1 and builds no deeper; every
-    other command that reads latin powers builds all n."""
+    """Every command that reads latin powers builds powers 1..n-1 (power 1
+    alone on a one-vertex graph) and reads power n off power n-1."""
 
-    def test_depth_per_command(self, five_file, monkeypatch):
+    def test_depth_per_command(self, five_file, tmp_path, monkeypatch):
         built = []
 
         def recording(*args, **kwargs):
@@ -150,18 +150,24 @@ class TestPowersBuilt:
             return powers
 
         monkeypatch.setattr(enumeration, "latin_powers", recording)
+        one = tmp_path / "one.txt"
+        one.write_text("vertices: a\na a\n")
         queries = {
-            ("hamiltonian", "--kind", "path"): 4,
-            ("hamiltonian", "--kind", "circuit"): 5,
-            ("paths", "-i", "1", "-j", "2", "-k", "3"): 5,
-            ("circuits", "-i", "1", "-k", "5"): 5,
-            ("matrix", "-k", "4"): 5,
+            ("hamiltonian", five_file, "--kind", "path"): 4,
+            ("hamiltonian", five_file, "--kind", "circuit"): 4,
+            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3"): 4,
+            ("circuits", five_file, "-i", "1", "-k", "5"): 4,
+            ("matrix", five_file, "-k", "4"): 4,
+            ("matrix", five_file, "-k", "5"): 4,
+            ("hamiltonian", str(one), "--kind", "circuit"): 1,
+            ("circuits", str(one), "-i", "a", "-k", "1"): 1,
+            ("matrix", str(one), "-k", "1"): 1,
         }
-        for (command, *rest), depth in queries.items():
+        for query, depth in queries.items():
             built.clear()
-            code, _, err = run_cli(command, five_file, *rest)
+            code, _, err = run_cli(*query)
             assert code == 0, err
-            assert built == [depth], command
+            assert built == [depth], query
 
     def test_one_vertex_path_query_is_refused(self, tmp_path):
         path = tmp_path / "one.txt"

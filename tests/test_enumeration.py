@@ -439,12 +439,14 @@ def assert_kernel_matches_reference(g):
     powers = latin_powers(g)
     reference = reference_powers(g)
     assert len(powers.powers) == len(reference) == g.n
+    # power n is read off power n-1, not built
+    assert len(powers.sparse) == max(g.n - 1, 1)
     for k, expected in enumerate(reference, start=1):
         assert powers.power(k) == expected, k
         assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
         # sparse rows: no empty and no diagonal entry is stored, and each
         # entry is in canonical order
-        for i, row in enumerate(powers.sparse[k - 1]):
+        for i, row in enumerate(powers.sparse[k - 1] if k < g.n else ()):
             assert all(row.values()), k
             assert i not in row, (k, i)
         for i in range(g.n):
@@ -455,6 +457,10 @@ def assert_kernel_matches_reference(g):
             circuits = powers.words(k, i, i)
             assert circuits == sorted(w.indices for w in expected.rows[i][i].words), (k, i)
             assert circuits is not powers.words(k, i, i)
+    # power n is all diagonal: an n-arc path needs n+1 distinct vertices
+    assert all(
+        powers.words(g.n, i, j) == () for i in range(g.n) for j in range(g.n) if i != j
+    )
     assert_guard_matches_reference_counts(g, [sum(stored_words(p)) for p in reference])
 
 
