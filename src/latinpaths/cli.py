@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=_positive_int,
         default=enumeration.DEFAULT_WORD_LIMIT,
-        help="word guard on each latin power, its paths and circuits, or on the "
+        help="word guard on each latin power built, its paths and circuits (on "
+        "column 1 and then power n for Hamiltonian circuits), or on the "
         "entries of each power of the optimal recurrence (lcdl engine only)",
     )
     dot = _flag("--dot", metavar="PATH", help="write a DOT rendering with results highlighted")

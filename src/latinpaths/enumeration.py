@@ -7,7 +7,8 @@ returns them; power n, all diagonal, is read off power n-1.  Each query
 checks its arguments first, by the rules `DirectedGraph` holds for both
 engines (`path_ends`, `circuit_start`, `check_power`,
 `check_hamiltonian_paths`, `walk_ends`), and only then calls
-`latin_powers` itself.  It reads its words straight
+`latin_powers` itself, except `hamiltonian_circuits`, which builds column 1
+alone and rotates the circuits it closes.  It reads its words straight
 off the powers it built, as sorted index words (`Word`), and builds no
 object per answer: names and costs are looked up per vertex index only when
 the CLI writes the answer.  Nothing is cached across calls.
@@ -26,6 +27,8 @@ indices, with no word or language objects per intermediate, and a power
 is n sparse rows that store only nonempty off-diagonal entries, so a
 power costs its paths, not n^2.  Each entry comes out in canonical order,
 since m ascends and every entry of L^[k-1] is in that order already.
+Column j of L^[k] reads column j of L^[k-1] alone, so `_column` builds one
+column by the same prepending, holding one depth at a time.
 The generic product over the semiring of distinguished languages stays
 as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and
@@ -292,13 +295,52 @@ def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
     return found
 
 
+def _column(graph: DirectedGraph, j: int, depth: int, word_limit: int) -> list[list[Word]]:
+    """Column j of left power `depth`, at least 1: entry i holds the paths
+    of entry (i, j) in canonical order, and entry j is empty.  Depth k is
+    built from depth k-1 alone, as `latin_powers` builds a row: v_i
+    prepended over the arcs (i, m), m ascending.  The guard counts the
+    column's words at each depth, its circuits closing at v_j too, as
+    `latin_powers` does."""
+    succ = graph.successors
+    column = [()] * graph.n
+    column[j] = [(j,)]  # depth 0: the word of v_j alone
+    for k in range(1, depth + 1):
+        prev, column = column, []
+        # every word of entry (m, j) closes a circuit at v_j (a self-loop at
+        # depth 1): counted, not stored
+        count = sum(len(prev[m]) for m in succ[j])
+        for i, targets in enumerate(succ):
+            head = (i,)
+            # over a self-loop (i, i) nothing survives: v_i is in every word
+            new = [] if i == j else [head + w for m in targets for w in prev[m] if i not in w]
+            column.append(new)
+            count += len(new)
+            if count > word_limit:
+                raise WordLimitError(k, word_limit)
+    return column
+
+
 def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary circuit of arc-length n, anchored per start vertex,
     in canonical order: the diagonal of power n, whose entry (i, i) holds
-    the words that start at v_i."""
+    the words that start at v_i.
+
+    Every such circuit passes v_1, so only column 1 is built, to depth n-1.
+    Its words closed over the arcs (v_1, m), m ascending, are entry (1, 1)
+    of power n; the other entries hold their rotations, which start above
+    v_1.  The guard counts the column at each depth, then the n words of
+    each circuit as power n, whose diagonal they are."""
     n = graph.n
-    powers = latin_powers(graph, word_limit)
-    return [w for i in range(n) for w in powers.words(n, i, i)]
+    if n < 2:
+        # a one-vertex circuit is a self-loop: power 1's diagonal
+        anchored = [(0, 0)] if graph.arcs else []
+    else:
+        column = _column(graph, 0, n - 1, word_limit)
+        anchored = [(0,) + w for m in graph.successors[0] for w in column[m]]
+    if n * len(anchored) > word_limit:
+        raise WordLimitError(n, word_limit)
+    return anchored + sorted(w[r:] + w[1 : r + 1] for w in anchored for r in range(1, n))
 
 
 def hamiltonian(
@@ -411,7 +453,8 @@ def held_karp(
     are anchored at `start`, else `end`, else v_1, and closed over the
     arcs (s, m) at power n: with exact costs every rotation of a circuit
     costs the same, and every Hamiltonian circuit passes v_1, so the
-    canonically first optimum starts there.  `word_limit` bounds the
+    canonically first optimum starts there (the anchor from which
+    `hamiltonian_circuits` rotates every circuit).  `word_limit` bounds the
     entries of each power as they are made, as in `latin_powers`."""
     sign, s, t = _selection(graph, kind, objective, start, end)
     n, circuit = graph.n, kind == "circuit"

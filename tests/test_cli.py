@@ -139,7 +139,8 @@ def _power_words(powers) -> list[int]:
 
 class TestPowersBuilt:
     """Every command that reads latin powers builds powers 1..n-1 (power 1
-    alone on a one-vertex graph) and reads power n off power n-1."""
+    alone on a one-vertex graph) and reads power n off power n-1.
+    `hamiltonian --kind circuit` builds none: it builds column 1 alone."""
 
     def test_depth_per_command(self, five_file, tmp_path, monkeypatch):
         built = []
@@ -153,21 +154,21 @@ class TestPowersBuilt:
         one = tmp_path / "one.txt"
         one.write_text("vertices: a\na a\n")
         queries = {
-            ("hamiltonian", five_file, "--kind", "path"): 4,
-            ("hamiltonian", five_file, "--kind", "circuit"): 4,
-            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3"): 4,
-            ("circuits", five_file, "-i", "1", "-k", "5"): 4,
-            ("matrix", five_file, "-k", "4"): 4,
-            ("matrix", five_file, "-k", "5"): 4,
-            ("hamiltonian", str(one), "--kind", "circuit"): 1,
-            ("circuits", str(one), "-i", "a", "-k", "1"): 1,
-            ("matrix", str(one), "-k", "1"): 1,
+            ("hamiltonian", five_file, "--kind", "path"): [4],
+            ("hamiltonian", five_file, "--kind", "circuit"): [],
+            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3"): [4],
+            ("circuits", five_file, "-i", "1", "-k", "5"): [4],
+            ("matrix", five_file, "-k", "4"): [4],
+            ("matrix", five_file, "-k", "5"): [4],
+            ("hamiltonian", str(one), "--kind", "circuit"): [],
+            ("circuits", str(one), "-i", "a", "-k", "1"): [1],
+            ("matrix", str(one), "-k", "1"): [1],
         }
-        for query, depth in queries.items():
+        for query, depths in queries.items():
             built.clear()
             code, _, err = run_cli(*query)
             assert code == 0, err
-            assert built == [depth], query
+            assert built == depths, query
 
     def test_one_vertex_path_query_is_refused(self, tmp_path):
         path = tmp_path / "one.txt"
@@ -215,6 +216,60 @@ class TestPathDepthGuard:
         graph = DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
         path = tmp_path_factory.mktemp("guard") / "graph.txt"
         assert_path_guard_matches_full_powers(graph, path)
+
+
+def assert_circuit_guard_refuses_no_more(graph, path) -> int:
+    """At each limit L that is a power's word count or one less, the circuit
+    query exits 3 only where building the powers under L fails, with stdout
+    empty; where it answers, it answers as under the default limit.
+    Returns how many of these limits the powers refuse and it answers."""
+    path.write_text(serialize_graph(graph))
+    query = ("hamiltonian", str(path), "--kind", "circuit")
+    code, full, err = run_cli(*query)
+    assert (code, err) == (0, "")
+    answered = 0
+    counts = _power_words(latin_powers(graph))
+    for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
+        code, out, err = run_cli(*query, "--limit", str(limit))
+        try:
+            latin_powers(graph, limit)
+        except WordLimitError:
+            refused = True
+        else:
+            refused = False
+        if code == 3:
+            assert refused, (graph, limit)
+            assert out == "" and err.startswith("error: latin power "), (graph, limit)
+            assert err.endswith(f" holds more words than the limit of {limit}\n"), err
+        else:
+            assert (code, out, err) == (0, full, ""), (graph, limit)
+            answered += refused
+    return answered
+
+
+class TestCircuitGuard:
+    def test_corpus(self, corpus, tmp_path):
+        answered = sum(assert_circuit_guard_refuses_no_more(g, tmp_path / "g.txt") for g in corpus)
+        # column 1 holds fewer words than the whole power
+        assert answered > 0
+
+    def test_complete_digraph_seven(self, tmp_path):
+        # K7's power 5 holds 7*6*5*4*3*2 = 5,040 paths and 7*6*5*4*3 = 2,520
+        # circuits; column 1 peaks at 720 + 720 words at depth 6, and
+        # power 7 holds the 7 rotations of 6! = 720 circuits: 5,040 words.
+        path = tmp_path / "k7.txt"
+        names = [f"v{i}" for i in range(1, 8)]
+        arcs = "".join(f"{u} {v}\n" for u in names for v in names if u != v)
+        path.write_text(f"vertices: {' '.join(names)}\n{arcs}")
+        with pytest.raises(WordLimitError, match="^latin power 5 "):
+            latin_powers(parse_graph(path.read_text()), 5040)
+        query = ("hamiltonian", str(path), "--kind", "circuit")
+        code, out, err = run_cli(*query, "--limit", "5040")
+        assert (code, err) == (0, "")
+        assert out == run_cli(*query)[1]
+        assert len(out.splitlines()) == 5040
+        error = "error: latin power 7 holds more words than the limit of 5039\n"
+        assert run_cli(*query, "--limit", "5039") == (3, "", error)
 
 
 class TestCount:

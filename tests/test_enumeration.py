@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinpaths.bruteforce import dfs_count_all_paths
+from latinpaths.bruteforce import dfs_count_all_paths, dfs_hamiltonian
 from latinpaths.enumeration import (
     WordLimitError,
     adjacency_matrix,
@@ -462,6 +462,7 @@ def assert_kernel_matches_reference(g):
         powers.words(g.n, i, j) == () for i in range(g.n) for j in range(g.n) if i != j
     )
     assert_guard_matches_reference_counts(g, [sum(stored_words(p)) for p in reference])
+    assert_circuits_match_reference(g, reference)
 
 
 def assert_guard_matches_reference_counts(g, counts):
@@ -475,6 +476,28 @@ def assert_guard_matches_reference_counts(g, counts):
         else:
             with pytest.raises(WordLimitError) as exc:
                 latin_powers(g, limit)
+            assert exc.value.k == over, (g, limit, counts)
+
+
+def assert_circuits_match_reference(g, reference):
+    """`hamiltonian_circuits` lists the diagonal of the reference's power n,
+    entry by entry, as the oracle does; at each limit L that is one of the
+    counts below or one less, it refuses at the first of them over L:
+    column 1 of the reference's powers 1..n-1, its circuit entry (1, 1)
+    included, then the whole diagonal of power n."""
+    n = g.n
+    diagonal = [sorted(w.indices for w in reference[-1].rows[i][i].words) for i in range(n)]
+    circuits = hamiltonian_circuits(g)
+    assert circuits == [w for entry in diagonal for w in entry] == dfs_hamiltonian(g, "circuit")
+    counts = [sum(len(row[0].words) for row in power.rows) for power in reference[: n - 1]]
+    counts.append(len(circuits))
+    for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 0}):
+        over = next((k for k, c in enumerate(counts, start=1) if c > limit), None)
+        if over is None:
+            assert hamiltonian_circuits(g, limit) == circuits
+        else:
+            with pytest.raises(WordLimitError) as exc:
+                hamiltonian_circuits(g, limit)
             assert exc.value.k == over, (g, limit, counts)
 
 
@@ -505,6 +528,49 @@ class TestKernelAgainstReference:
         assert_kernel_matches_reference(
             DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
         )
+
+
+class TestCircuitsFromColumnOne:
+    """On the corpus and on one vertex, `TestKernelAgainstReference` checks
+    the circuits too, against the same reference powers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.frozensets(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                ),
+            )
+        )
+    )
+    def test_random_graphs_with_loops(self, shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        g = DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+        assert_circuits_match_reference(g, reference_powers(g))
+
+    def test_peak_memory(self):
+        # K8 minus the Hamiltonian cycle v0 -> v1 -> ... -> v7 -> v0
+        names = tuple(f"v{i}" for i in range(8))
+        g = DirectedGraph(
+            names,
+            tuple((u, v) for i, u in enumerate(names) for j, v in enumerate(names)
+                  if i != j and (j - i) % 8 != 1),
+        )
+        peaks = []
+        for build in (hamiltonian_circuits, latin_powers):
+            # tracemalloc does not see tuples reused from the interpreter's
+            # free lists, so each build runs once first to fill them alike
+            build(g)
+            tracemalloc.start()
+            try:
+                build(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2, peaks
 
 
 def test_sparse_chain_powers():
