@@ -435,6 +435,22 @@ def stored_words(matrix) -> list[int]:
     return [len(entry.words) for row in matrix.rows for entry in row]
 
 
+def graphs_with_loops(max_n: int):
+    """Graphs on v0..v{n-1}, n in 1..max_n, with any arcs, self-loops too."""
+
+    def build(shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        return DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    ).map(build)
+
+
 def assert_kernel_matches_reference(g):
     powers = latin_powers(g)
     reference = reference_powers(g)
@@ -512,22 +528,9 @@ class TestKernelAgainstReference:
         assert_kernel_matches_reference(DirectedGraph(("a",), arcs))
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=6).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.frozensets(
-                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                ),
-            )
-        )
-    )
-    def test_random_graphs(self, shape):
-        n, arcs = shape
-        names = tuple(f"v{i}" for i in range(n))
-        assert_kernel_matches_reference(
-            DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
-        )
+    @given(graphs_with_loops(6))
+    def test_random_graphs(self, g):
+        assert_kernel_matches_reference(g)
 
 
 class TestCircuitsFromColumnOne:
@@ -535,20 +538,8 @@ class TestCircuitsFromColumnOne:
     the circuits too, against the same reference powers."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=7).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.frozensets(
-                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                ),
-            )
-        )
-    )
-    def test_random_graphs_with_loops(self, shape):
-        n, arcs = shape
-        names = tuple(f"v{i}" for i in range(n))
-        g = DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+    @given(graphs_with_loops(7))
+    def test_random_graphs_with_loops(self, g):
         assert_circuits_match_reference(g, reference_powers(g))
 
     def test_peak_memory(self):
