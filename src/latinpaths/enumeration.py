@@ -36,8 +36,12 @@ the arcs, `reference_powers` computes its left powers, and
 on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
 every power, built on demand for readers that walk whole powers.  The
 `matrix` command reads every entry of one power (`power_entries`).
-The adjacency matrix over the naturals is the reference for
-`count_paths`.
+`count_paths` reads entry (i, j) of A^k, A the adjacency matrix over
+the naturals, by one of two exact evaluations: k steps of column j of the
+left recurrence, about k m additions for m arcs, or binary powers of A,
+about k.bit_length() n^3 products; it takes the powers only when that
+count is the smaller.  Left powers of `adjacency_matrix` are the
+reference for both.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per (first vertex, vertex
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import mul
 
 from .graph import DirectedGraph, VertexPath, path_cost
 from .languages import DistinguishedLanguage
@@ -373,13 +378,42 @@ def max_length_elementary(
 
 def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     """Number of all (not necessarily elementary) paths of length k, in
-    exact integers: column j of the left recurrence A^[k] = A A^[k-1] over
-    successor lists, x_1 = A[:, j] and x_k = A x_{k-1}, in O(k m)."""
+    exact integers: entry (i, j) of A^k, by whichever of two evaluations
+    does less work.  `_count_by_steps` takes k steps of about m additions
+    (m arcs), `_count_by_squaring` about k.bit_length() squarings of n^3
+    products each; squaring is taken only when its count is the smaller."""
     i, j = graph.walk_ends(source, target, k)
+    if k.bit_length() * graph.n**3 < k * len(graph.arcs):
+        return _count_by_squaring(graph, i, j, k)
+    return _count_by_steps(graph, i, j, k)
+
+
+def _count_by_steps(graph: DirectedGraph, i: int, j: int, k: int) -> int:
+    """(A^k)[i][j] by column j of the left recurrence A^[k] = A A^[k-1]
+    over successor lists: x_1 = A[:, j] and x_k = A x_{k-1}."""
     succ = graph.successors
     column = [int(j in targets) for targets in succ]
     for _ in range(k - 1):
         column = [sum(map(column.__getitem__, targets)) for targets in succ]
+    return column[i]
+
+
+def _count_by_squaring(graph: DirectedGraph, i: int, j: int, k: int) -> int:
+    """(A^k)[i][j] by binary powers of A: the column e_j is multiplied by
+    A^(2^b) for each set bit b of k.  The top bits are applied as up to
+    three products by the last square built, which spares the squaring
+    with the largest entries."""
+    n = graph.n
+    power = [[int(m in targets) for m in range(n)] for targets in graph.successors]
+    column = [int(m == j) for m in range(n)]
+    while k > 3:
+        if k & 1:
+            column = [sum(map(mul, row, column)) for row in power]
+        columns = list(zip(*power))
+        power = [[sum(map(mul, row, col)) for col in columns] for row in power]
+        k >>= 1
+    for _ in range(k):
+        column = [sum(map(mul, row, column)) for row in power]
     return column[i]
 
 

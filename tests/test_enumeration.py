@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinpaths import enumeration
 from latinpaths.bruteforce import dfs_count_all_paths, dfs_hamiltonian
 from latinpaths.enumeration import (
     WordLimitError,
+    _count_by_squaring,
+    _count_by_steps,
     adjacency_matrix,
     count_paths,
     count_paths_reference,
@@ -235,6 +238,20 @@ class TestCountPaths:
             assert count_paths_reference(g, "v1", "v2", k) == expected
         assert count_paths(g, "v1", "v2", 8000) == (4**8000 - 1) // 5
 
+    def test_closed_form_on_k9_by_squaring(self, monkeypatch):
+        # 15 squarings of 9^3 products against 30,000 steps of 72 additions
+        monkeypatch.setattr(enumeration, "_count_by_steps", refuse)
+        k = 30_000
+        assert count_paths(complete_digraph(9), "v1", "v2", k) == (8**k - (-1) ** k) // 9
+
+    def test_long_chain_stays_on_steps(self, monkeypatch):
+        # squaring 1,000 x 1,000 matrices would take about 10^9 products each
+        monkeypatch.setattr(enumeration, "_count_by_squaring", refuse)
+        names = tuple(f"v{i}" for i in range(1000))
+        g = DirectedGraph(names, tuple(zip(names, names[1:])))
+        assert count_paths(g, "v0", "v3", 3) == 1
+        assert count_paths(g, "v0", "v999", 999) == 1
+
 
 class TestOptimalHamiltonian:
     def test_max_path(self, five_vertex_graph):
@@ -449,6 +466,63 @@ def graphs_with_loops(max_n: int):
             st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
         )
     ).map(build)
+
+
+# 1, 2, 3 and 2^b - 1, 2^b, 2^b + 1 for b up to 12: every bit pattern
+# edge of binary powering
+COUNT_LENGTHS = tuple(sorted({1, 2, 3} | {2**b + d for b in range(2, 13) for d in (-1, 0, 1)}))
+
+
+def refuse(*args):
+    raise AssertionError("this evaluation should not be selected")
+
+
+def assert_counts_match_oracle(g, source, target, lengths):
+    u, v = g.vertices[source], g.vertices[target]
+    for k in lengths:
+        expected = dfs_count_all_paths(g, u, v, k)
+        assert _count_by_steps(g, source, target, k) == expected, (g, u, v, k)
+        assert _count_by_squaring(g, source, target, k) == expected, (g, u, v, k)
+
+
+class TestCountEvaluations:
+    """Both evaluations behind `count_paths`, each called directly, not
+    through the selection."""
+
+    def test_both_evaluations_match_reference_on_corpus(self, corpus):
+        # one (source, target) pair per length, cycling through all pairs;
+        # the powers follow the recurrence of `mat_power_left`, one product
+        # per length, and the last is checked against the reference itself
+        for g in corpus:
+            pairs = [(i, j) for i in range(g.n) for j in range(g.n)]
+            adjacency = adjacency_matrix(g)
+            power = adjacency
+            for k in range(1, 61):
+                if k > 1:
+                    power = mat_mul(adjacency, power)
+                i, j = pairs[k % len(pairs)]
+                expected = power.rows[i][j]
+                assert _count_by_steps(g, i, j, k) == expected, (g, i, j, k)
+                assert _count_by_squaring(g, i, j, k) == expected, (g, i, j, k)
+            u, v = g.vertices[i], g.vertices[j]
+            assert count_paths_reference(g, u, v, 60) == expected
+
+    @pytest.mark.parametrize("n, arcs, source, target", [
+        (3, (), 0, 0),  # no arcs
+        (3, (), 0, 2),
+        (1, ((0, 0),), 0, 0),  # one vertex, its self-loop
+        (3, tuple((u, v) for u in range(3) for v in range(3)), 1, 1),
+    ])
+    def test_both_evaluations_match_oracle_on_small_graphs(self, n, arcs, source, target):
+        names = tuple(f"v{i}" for i in range(n))
+        g = DirectedGraph(names, tuple((names[u], names[v]) for u, v in arcs))
+        assert_counts_match_oracle(g, source, target, COUNT_LENGTHS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), graphs_with_loops(6), st.integers(1, 5000))
+    def test_both_evaluations_match_oracle(self, data, g, drawn):
+        source, target = (data.draw(st.integers(0, g.n - 1)) for _ in range(2))
+        assert_counts_match_oracle(g, source, target, (*COUNT_LENGTHS, drawn))
 
 
 def assert_kernel_matches_reference(g):
