@@ -400,9 +400,9 @@ def _count_by_steps(graph: DirectedGraph, i: int, j: int, k: int) -> int:
 
 def _count_by_squaring(graph: DirectedGraph, i: int, j: int, k: int) -> int:
     """(A^k)[i][j] by binary powers of A: the column e_j is multiplied by
-    A^(2^b) for each set bit b of k.  The top bits are applied as up to
-    three products by the last square built, which spares the squaring
-    with the largest entries."""
+    A^(2^b) for each set bit b of k.  Once the bits left are at most 3,
+    the column is multiplied that many times by the last square instead:
+    it spares the squaring with the largest entries."""
     n = graph.n
     power = [[int(m in targets) for m in range(n)] for targets in graph.successors]
     column = [int(m == j) for m in range(n)]
