@@ -39,14 +39,22 @@ every power, built on demand for readers that walk whole powers.  The
 `count_paths` reads entry (i, j) of A^k, A the adjacency matrix over
 the naturals, by one of two exact evaluations: k steps of column j of the
 left recurrence, about k m additions for m arcs, or binary powers of A,
-about k.bit_length() n^3 products; it takes the powers only when that
-count is the smaller.  Left powers of `adjacency_matrix` are the
-reference for both.
+about k.bit_length() n^3 products; it counts the work of each, the `sum`
+calls included, and takes the powers only when their count is the
+smaller.  Left powers of `adjacency_matrix` are the reference for both.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
-same left recurrence keeping only the best word per (first vertex, vertex
-set): the Bellman / Held-Karp dynamic program, O(2^n n^2) instead of the
-n! words of the powers.  `optimal_hamiltonian` selects from a full
+same left recurrence keeping only the best word per entry (first vertex,
+vertex set): the Bellman / Held-Karp dynamic program, O(2^n n^2) instead
+of the n! words of the powers.  Power k maps each vertex mask to {first
+vertex: least cost}, and a layer per power maps it to {first vertex: next
+vertex}; the winning word is rebuilt once, at the end, down the layers.
+Every candidate for the entry (i, M) extends an entry of the one mask
+M - {i}, so candidates differ only in their next vertex m.  The masks of
+a power are read in descending order, which makes the entries of every
+new mask in ascending first vertex; a strict `<` over m ascending then
+keeps the smallest m of a tie, the canonically first word, as comparing
+whole words would.  `optimal_hamiltonian` selects from a full
 enumeration and is its reference.  Both compare costs exactly, as the
 integers of `graph.arc_cost`, and break ties by canonical order.
 """
@@ -376,14 +384,27 @@ def max_length_elementary(
     return None
 
 
+# What one `sum` call costs, in additions or products of small integers:
+# about 400 ns against 50 ns per element (2-vCPU host, Python 3.11).
+_SUM_CALL_WORK = 8
+
+
 def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     """Number of all (not necessarily elementary) paths of length k, in
     exact integers: entry (i, j) of A^k, by whichever of two evaluations
-    does less work.  `_count_by_steps` takes k steps of about m additions
-    (m arcs), `_count_by_squaring` about k.bit_length() squarings of n^3
-    products each; squaring is taken only when its count is the smaller."""
+    does less work.  `_count_by_steps` takes k - 1 steps of n `sum` calls
+    over m additions (m arcs); `_count_by_squaring` squares A max(0,
+    k.bit_length() - 2) times, n^2 `sum` calls over n^3 products each, and
+    multiplies the column by a power once per set bit it consumes and once
+    per unit left at the top, n `sum` calls over n^2 products each.  A
+    `sum` call weighs _SUM_CALL_WORK elements; squaring is taken only when
+    its count is the smaller."""
     i, j = graph.walk_ends(source, target, k)
-    if k.bit_length() * graph.n**3 < k * len(graph.arcs):
+    n = graph.n
+    squarings = max(k.bit_length() - 2, 0)
+    products = (k & ((1 << squarings) - 1)).bit_count() + (k >> squarings)
+    squaring = (squarings * n + products) * n * (n + _SUM_CALL_WORK)
+    if squaring < (k - 1) * (len(graph.arcs) + _SUM_CALL_WORK * n):
         return _count_by_squaring(graph, i, j, k)
     return _count_by_steps(graph, i, j, k)
 
@@ -476,20 +497,14 @@ def held_karp(
 ) -> tuple[Word, int] | None:
     """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
     "path") or circuit ("circuit"), without enumerating them: the left
-    recurrence of `latin_powers` keeping one word per entry, the
-    Bellman / Held-Karp dynamic program over vertex sets.
-
-    Power k maps (first vertex, vertex mask) to the least (signed exact
-    cost, index tuple) among its words; the sign is -1 for "max", so a tie
-    still goes to the canonically first word.  Prepending never reads the
-    last vertex, so one best word per key suffices, and the words' ends are
-    fixed by the seed: the arcs into `end`, or into any vertex.  Circuits
-    are anchored at `start`, else `end`, else v_1, and closed over the
-    arcs (s, m) at power n: with exact costs every rotation of a circuit
-    costs the same, and every Hamiltonian circuit passes v_1, so the
-    canonically first optimum starts there (the anchor from which
-    `hamiltonian_circuits` rotates every circuit).  `word_limit` bounds the
-    entries of each power as they are made, as in `latin_powers`."""
+    recurrence of `latin_powers` keeping one word per (first vertex, vertex
+    mask), the dynamic program the module docstring sets out.  Power k maps
+    each mask to {first vertex: least signed exact cost} (the sign -1 for
+    "max"), its layer maps the mask to {first vertex: next vertex}, and the
+    winning word is rebuilt once, from the full mask down the layers.  The
+    words end at `end`, or anywhere; circuits are anchored at `start`, else
+    `end`, else v_1.  `word_limit` bounds the entries of each power,
+    counted as they are made and checked after each entry they come from."""
     sign, s, t = _selection(graph, kind, objective, start, end)
     n, circuit = graph.n, kind == "circuit"
     if circuit:
@@ -501,25 +516,41 @@ def held_karp(
         for m, c in row.items():
             into[m].append((i, sign * c))
     # power 0: the one-vertex words at the ends
-    cur = {(j, 1 << j): (0, (j,)) for j in (range(n) if t is None else (t,))}
+    cur: dict[int, dict[int, int]] = {1 << j: {j: 0} for j in (range(n) if t is None else (t,))}
+    layers: list[dict[int, dict[int, int]]] = []
     for k in range(1, n):
-        nxt: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        for (m, mask), (c, w) in cur.items():
-            for i, arc in into[m]:
-                if not mask >> i & 1:
-                    key, word = (i, mask | 1 << i), (c + arc, (i,) + w)
-                    old = nxt.get(key)
-                    if old is None or word < old:
-                        nxt[key] = word
-            if len(nxt) > word_limit:
-                raise WordLimitError(k, word_limit)
+        nxt, layer, entries = {}, {}, 0
+        # masks descending: the first vertices of each new mask come ascending
+        for mask in sorted(cur, reverse=True):
+            best, back = {}, {}  # i -> the cost and next vertex of entry (i, mask + {i})
+            for m, c in cur[mask].items():
+                for i, arc in into[m]:
+                    if not mask >> i & 1:
+                        old = best.get(i)
+                        if old is None:
+                            entries += 1
+                        elif c + arc >= old:
+                            continue
+                        best[i], back[i] = c + arc, m
+                if entries > word_limit:
+                    raise WordLimitError(k, word_limit)
+            for i, m in back.items():
+                key = mask | 1 << i
+                if key in nxt:
+                    nxt[key][i], layer[key][i] = best[i], m
+                else:
+                    nxt[key], layer[key] = {i: best[i]}, {i: m}
         cur = nxt
-    if circuit:
-        closing = {m: arc for m in range(n) for i, arc in into[m] if i == s}
-        words = [(c + closing[m], (s,) + w) for (m, _), (c, w) in cur.items() if m in closing]
-    else:
-        words = [word for (m, _), word in cur.items() if s is None or m == s]
-    if not words:
+        layers.append(layer)
+    # a circuit closes over an arc (s, m); a path starts at any allowed m
+    closing = graph.arc_cost[s] if circuit else dict.fromkeys(range(n) if s is None else (s,), 0)
+    mask = (1 << n) - 1
+    firsts = [(c + sign * closing[m], m) for m, c in cur.get(mask, {}).items() if m in closing]
+    if not firsts:
         return None
-    cost, best = min(words)
-    return best, sign * cost
+    cost, m = min(firsts)
+    word = [s, m] if circuit else [m]
+    for layer in reversed(layers):
+        m, mask = layer[mask][m], mask ^ 1 << m
+        word.append(m)
+    return tuple(word), sign * cost

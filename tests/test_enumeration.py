@@ -244,6 +244,18 @@ class TestCountPaths:
         k = 30_000
         assert count_paths(complete_digraph(9), "v1", "v2", k) == (8**k - (-1) ** k) // 9
 
+    def test_sparse_graph_at_moderate_length_by_squaring(self, monkeypatch):
+        # 12 vertices, 24 arcs, k = 200: 6 squarings and 4 column products
+        # of 12 sum calls each, against 199 steps of 12 sum calls; the sum
+        # calls decide it, as they do for the count queries of this shape
+        names = tuple(f"v{i}" for i in range(12))
+        g = DirectedGraph(
+            names, tuple((u, names[(i + d) % 12]) for i, u in enumerate(names) for d in (1, 3))
+        )
+        expected = _count_by_steps(g, 0, 4, 200)
+        monkeypatch.setattr(enumeration, "_count_by_steps", refuse)
+        assert count_paths(g, "v0", "v4", 200) == expected > 0
+
     def test_long_chain_stays_on_steps(self, monkeypatch):
         # squaring 1,000 x 1,000 matrices would take about 10^9 products each
         monkeypatch.setattr(enumeration, "_count_by_squaring", refuse)
@@ -412,7 +424,78 @@ class TestHeldKarp:
             held_karp(g, "path", word_limit=3000)
         assert exc.value.k == 4
         built = exc.traceback[-1].locals
-        assert 3000 < len(built["nxt"]) <= 3000 + 12 < 3960
+        assert 3000 < built["entries"] <= 3000 + 12 < 3960
+
+    def test_guard_counts_the_entries_of_the_kernels_words(self, corpus):
+        # Power k's entries are the distinct (first vertex, vertex set) over
+        # the elementary paths of k arcs that end where the seed allows:
+        # at `end`, a circuit's anchor, or anywhere.  At each limit L that
+        # is such a count or one less, held_karp refuses exactly the first
+        # power with more than L entries, or answers.
+        for g in corpus:
+            g = DirectedGraph(g.vertices, g.arcs, (1,) * len(g.arcs))
+            powers = latin_powers(g)
+            for end in (None, *range(g.n)):
+                counts = [
+                    len({
+                        (w[0], frozenset(w))
+                        for j in (range(g.n) if end is None else (end,))
+                        for i in range(g.n) if i != j
+                        for w in powers.words(k, i, j)
+                    })
+                    for k in range(1, g.n)
+                ]
+                name = None if end is None else g.vertices[end]
+                seeds = [{"end": name}] if end is None else [{"end": name}, {"start": name}]
+                for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
+                    over = next((k for k, c in enumerate(counts, start=1) if c > limit), None)
+                    for kind, ends in zip(("path", "circuit"), seeds):
+                        if over is None:
+                            held_karp(g, kind, word_limit=limit, **ends)
+                            continue
+                        with pytest.raises(WordLimitError) as exc:
+                            held_karp(g, kind, word_limit=limit, **ends)
+                        assert exc.value.k == over, (g, kind, ends, limit, counts)
+
+    @pytest.mark.parametrize("objective", ["min", "max"])
+    def test_equal_costs_give_the_canonically_first_word(self, objective):
+        # every entry of every power ties: each keeps its smallest next vertex
+        g = complete_digraph(6)
+        g = DirectedGraph(g.vertices, g.arcs, (1,) * len(g.arcs))
+        assert held_karp(g, "path", objective) == ((0, 1, 2, 3, 4, 5), 5)
+        assert held_karp(g, "circuit", objective) == ((0, 1, 2, 3, 4, 5, 0), 6)
+
+    def test_inner_tie_goes_to_the_smaller_next_vertex(self):
+        # The only Hamiltonian paths, a-b-c-d-e and a-b-d-c-e, both cost
+        # 1 + 0.1 + 0.2 + 1 = 1 + 0.3 + 0.0 + 1 exactly.  They part in entry
+        # (b, {b, c, d, e}) of power 3, whose candidates tie at 1.3: it must
+        # keep next vertex c, though its mask's entry for d is made first
+        # when the masks are read in the order they were made.
+        g = DirectedGraph(
+            tuple("abcde"),
+            (("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("d", "c"), ("c", "e"), ("d", "e")),
+            (1, 0.1, 0.3, 0.2, 0.0, 1, 1),
+        )
+        for objective in ("min", "max"):
+            best = held_karp(g, "path", objective)
+            assert best == ((0, 1, 2, 3, 4), 23)
+            assert optimal_hamiltonian(g, "path", hamiltonian, objective) == best
+
+    def test_peak_memory(self):
+        # weighted K14: one cost and one next vertex per entry, 14 * 2^13
+        # entries over its 13 powers
+        g = complete_digraph(14)
+        g = DirectedGraph(g.vertices, g.arcs, tuple(a % 4 + 1 for a in range(len(g.arcs))))
+        # tracemalloc does not see tuples reused from the interpreter's free
+        # lists, so the query runs once first to fill them
+        expected = held_karp(g, "path")
+        tracemalloc.start()
+        try:
+            assert held_karp(g, "path") == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
 
 class TestRoundTrip:
