@@ -497,14 +497,25 @@ def held_karp(
 ) -> tuple[Word, int] | None:
     """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
     "path") or circuit ("circuit"), without enumerating them: the left
-    recurrence of `latin_powers` keeping one word per (first vertex, vertex
-    mask), the dynamic program the module docstring sets out.  Power k maps
-    each mask to {first vertex: least signed exact cost} (the sign -1 for
-    "max"), its layer maps the mask to {first vertex: next vertex}, and the
-    winning word is rebuilt once, from the full mask down the layers.  The
-    words end at `end`, or anywhere; circuits are anchored at `start`, else
-    `end`, else v_1.  `word_limit` bounds the entries of each power,
-    counted as they are made and checked after each entry they come from."""
+    recurrence of `latin_powers` keeping one word per entry (first vertex,
+    vertex mask), the Bellman / Held-Karp dynamic program over vertex sets.
+
+    Power k maps each mask to {first vertex: least signed exact cost} of
+    its words (the sign -1 for "max"), and its layer maps the mask to
+    {first vertex: next vertex} of that word; the winning word is rebuilt
+    once, from the full mask down the layers.  The candidates for an entry
+    (i, M) all extend entries of the mask M - {i} and differ only in their
+    next vertex m, so keeping the smallest m of a tie keeps the canonically
+    first word (see the module docstring).  Prepending never reads the last
+    vertex, so one word per entry suffices, and the words' ends are fixed
+    by the seed: the arcs into `end`, or into any vertex.  Circuits are
+    anchored at `start`, else `end`, else v_1, and closed over the arcs
+    (s, m) at power n: with exact costs every rotation of a circuit costs
+    the same, and every Hamiltonian circuit passes v_1, so the canonically
+    first optimum starts there (the anchor from which
+    `hamiltonian_circuits` rotates every circuit).  `word_limit` bounds the
+    entries of each power, counted as they are made and checked after each
+    entry they are made from."""
     sign, s, t = _selection(graph, kind, objective, start, end)
     n, circuit = graph.n, kind == "circuit"
     if circuit:
