@@ -245,9 +245,9 @@ class TestCountPaths:
         assert count_paths(complete_digraph(9), "v1", "v2", k) == (8**k - (-1) ** k) // 9
 
     def test_sparse_graph_at_moderate_length_by_squaring(self, monkeypatch):
-        # 12 vertices, 24 arcs, k = 200: 6 squarings and 4 column products
-        # of 12 sum calls each, against 199 steps of 12 sum calls; the sum
-        # calls decide it, as they do for the count queries of this shape
+        # 12 vertices, 24 arcs, k = 200: 6 squarings of 144 sum calls and 4
+        # column products of 12, against 199 steps of 12 sum calls; counting
+        # the sum calls decides it, as for the count queries of this shape
         names = tuple(f"v{i}" for i in range(12))
         g = DirectedGraph(
             names, tuple((u, names[(i + d) % 12]) for i, u in enumerate(names) for d in (1, 3))
