@@ -8,27 +8,28 @@ checks its arguments first, by the rules `DirectedGraph` holds for both
 engines (`path_ends`, `circuit_start`, `check_power`,
 `check_hamiltonian_paths`, `walk_ends`), and only then calls
 `latin_powers` itself, except `hamiltonian_circuits`, which builds column 1
-alone and rotates the circuits it closes.  It reads its words straight
-off the powers it built, as sorted index words (`Word`), and builds no
-object per answer: names and costs are looked up per vertex index only when
-the CLI writes the answer.  Nothing is cached across calls.
+alone and rotates the circuits it closes.  Each query reads its words
+straight off the powers it built, as sorted index words (`Word`), and
+builds no object per answer: names and costs are looked up per vertex index
+only when the CLI writes the answer.  Nothing is cached across calls.
 
-`latin_powers` is a kernel specialised to the left recurrence
+One kernel, `_depths`, is specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
 Every entry of L is the single word v_i v_m, so entry (i, j) of the product
 prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
-(i, m); when j = i the prepended word closes a circuit.  A circuit is
-cyclic and absorbs in every later product, so the kernel counts the
-circuits of each row into the explosion guard but stores none: the guard
-counts every word of the power, paths and circuits, and
-`LatinPowerSequence.words` builds a diagonal entry on read, by the same
-prepending over power k-1.  A word is the bare tuple of its vertex
-indices, with no word or language objects per intermediate, and a power
-is n sparse rows that store only nonempty off-diagonal entries, so a
-power costs its paths, not n^2.  Each entry comes out in canonical order,
-since m ascends and every entry of L^[k-1] is in that order already.
-Column j of L^[k] reads column j of L^[k-1] alone, so `_column` builds one
-column by the same prepending, holding one depth at a time.
+(i, m); when i = j the prepended word closes a circuit.  Column j of
+L^[k] thus reads column j of L^[k-1] alone, and `_depths` builds the
+columns it is asked for one power at a time: every column for
+`latin_powers`, column 1 for `hamiltonian_circuits`.  A circuit is cyclic
+and absorbs in every later product, so the kernel counts the circuits of
+each column into the explosion guard but stores none: the guard counts
+every word of the columns built, paths and circuits, and `_close` builds
+the circuits of a column on read, by the same prepending over the arcs
+(j, m).  A word is the bare tuple of its vertex indices, with no word or
+language objects per intermediate, and a column is a sparse dict that
+stores only nonempty off-diagonal entries, so a power costs its paths,
+not n^2.  Each entry comes out in canonical order, since m ascends and
+every entry of L^[k-1] is in that order already.
 The generic product over the semiring of distinguished languages stays
 as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and
@@ -61,7 +62,7 @@ integers of `graph.arc_cost`, and break ties by canonical order.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import mul
 
@@ -86,8 +87,8 @@ class WordLimitError(RuntimeError):
 # circuits, whose first index is repeated at the end.
 Word = tuple[int, ...]
 
-# The paths of one latin power: per row i, the nonempty entries (i, j),
-# j != i, as j -> their words in canonical order.
+# The paths of some columns of one latin power: per column j, the nonempty
+# entries (i, j), i != j, as i -> their words in canonical order.
 SparsePower = list[dict[int, list[Word]]]
 
 
@@ -113,29 +114,29 @@ class WordMatrix:
 
 @dataclass(frozen=True, slots=True)
 class LatinPowerSequence:
-    vertices: tuple[str, ...]
+    graph: DirectedGraph
     sparse: tuple[SparsePower, ...]  # sparse[k-1]: the paths of the k-th left power, k < n
-    loops: frozenset[int]  # the vertices with a self-loop: power 1's diagonal
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.graph.vertices
 
     def words(self, k: int, i: int, j: int) -> Sequence[Word]:
         """The words of entry (i, j) of the k-th power, k in 1..n, in
         canonical order.  Off the diagonal the list is the power's own, read
         only, and empty at k = n: an n-arc path needs n+1 distinct vertices.
         A diagonal entry, the circuits through v_i, is a fresh list built on
-        each call: v_i prepended to the paths of entry (m, i) of power k-1
-        over the arcs (i, m), m ascending, or at k = 1 the self-loop's word."""
-        n = len(self.vertices)
+        each call: column i of power k-1 closed over the arcs (i, m)."""
+        n = self.graph.n
         if not 1 <= k <= n:
             raise ValueError(f"power {k} out of range 1..{n}")
         if i != j:
-            return self.sparse[k - 1][i].get(j, ()) if k < n else ()
-        if k == 1:
-            return [(i, i)] if i in self.loops else []
-        prev = self.sparse[k - 2]
-        return [(i,) + w for m in self.sparse[0][i] for w in prev[m].get(i, ())]
+            return self.sparse[k - 1][j].get(i, ()) if k < n else ()
+        # power 0's column i: the word of v_i alone
+        return _close(i, self.graph, self.sparse[k - 2][i] if k > 1 else {i: [(i,)]})
 
     def _dense(self, k: int) -> list[list[Sequence[Word]]]:
-        n = len(self.vertices)
+        n = self.graph.n
         return [[self.words(k, i, j) for j in range(n)] for i in range(n)]
 
     def power(self, k: int) -> SemiringMatrix:
@@ -157,57 +158,80 @@ class LatinPowerSequence:
                     for row in self._dense(k)
                 )
             )
-            for k in range(1, len(self.vertices) + 1)
+            for k in range(1, self.graph.n + 1)
         )
 
 
-def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> LatinPowerSequence:
-    """Left powers 1..n-1 of the latin matrix (power 1 alone when n <= 2),
-    with the explosion guard on each of them, the first included.  Only the
-    paths are stored; the guard counts each power's circuits too.
-
-    Power n is not built: it is all diagonal, and `words` reads its
-    circuits off power n-1.  Skipping it changes no guard outcome: w ->
-    w[:-1] maps the words of power n one-to-one into power n-1, so power n
-    never holds more words than power n-1."""
-    n = graph.n
-    if len(graph.arcs) > word_limit:  # power 1 holds one word per arc
-        raise WordLimitError(1, word_limit)
+def _depths(
+    graph: DirectedGraph, targets: Sequence[int], word_limit: int
+) -> Iterator[SparsePower]:
+    """Columns `targets` of left powers 1..max(n-1, 1), one power at a
+    time: the depth-k list holds, per target j, column j of power k as
+    {i: the paths of entry (i, j) in canonical order}, nonempty entries
+    only and never entry j.  Column j of power k is built from column j of
+    power k-1 alone (power 0's is the word of v_j): v_i prepended to the
+    words of entry (m, j) that avoid v_i, over the arcs (i, m), m
+    ascending.  A word prepended with v_j closes a circuit: it absorbs in
+    every later product, so it is counted into the guard but not stored.
+    A self-loop (i, i) closes power 1's circuit at v_i and nothing after,
+    since every word of entry (i, j) starts at v_i, so it is counted at
+    power 1 and left out of the arcs prepended over.  The guard counts the
+    words of every target column, paths and circuits, and is checked after
+    each column."""
     succ = graph.successors
-    # A self-loop's word is cyclic and absorbs every product it enters.
-    steps = [[m for m in succ[i] if m != i] for i in range(n)]
-    prev: SparsePower = [{m: [(i, m)] for m in steps[i]} for i in range(n)]
-    powers = [prev]
-    for k in range(2, n):
-        cur: SparsePower = []
-        count = 0
-        for i in range(n):
-            row: dict[int, list[Word]] = {}
-            head = (i,)
-            for m in steps[i]:
-                for j, words in prev[m].items():
-                    if j == i:
-                        # every word closes a circuit at v_i, which absorbs
-                        # in every later product: counted, not stored
+    into: list[list[tuple[int, Word]]] = [[] for _ in range(graph.n)]
+    for i, row in enumerate(succ):
+        head = (i,)
+        for m in row:
+            if m != i:
+                into[m].append((i, head))
+    loops = sum(j in succ[j] for j in targets)
+    columns: SparsePower = [{j: [(j,)]} for j in targets]
+    for k in range(1, max(graph.n, 2)):
+        prev, columns, count = columns, [], loops if k == 1 else 0
+        for j, before in zip(targets, prev):
+            column: dict[int, list[Word]] = {}
+            for m in sorted(before):
+                words = before[m]
+                for i, head in into[m]:
+                    if i == j:
                         count += len(words)
                         continue
                     new = [head + w for w in words if i not in w]
                     if not new:
                         continue
-                    if j in row:
-                        row[j] += new
+                    count += len(new)
+                    if i in column:
+                        column[i] += new
                     else:
-                        row[j] = new
+                        column[i] = new
             # the running count goes over the limit exactly when the
-            # power's full count does, so stop at the row that crosses it
-            count += sum(map(len, row.values()))
+            # depth's full count does, so stop at the column that crosses it
             if count > word_limit:
                 raise WordLimitError(k, word_limit)
-            cur.append(row)
-        powers.append(cur)
-        prev = cur
-    loops = frozenset(i for i in range(n) if i in succ[i])
-    return LatinPowerSequence(graph.vertices, tuple(powers), loops)
+            columns.append(column)
+        yield columns
+
+
+def _close(j: int, graph: DirectedGraph, column: dict[int, list[Word]]) -> list[Word]:
+    """The circuits through v_j that column j of a power closes over the
+    arcs (j, m), m ascending: v_j prepended to the words of each entry
+    (m, j), in canonical order."""
+    head = (j,)
+    return [head + w for m in graph.successors[j] for w in column.get(m, ())]
+
+
+def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> LatinPowerSequence:
+    """Left powers 1..n-1 of the latin matrix (power 1 alone when n <= 2),
+    with the explosion guard on each of them, the first included: every
+    column of `_depths`.  Only the paths are stored; the guard counts each
+    power's circuits too.
+
+    Power n is not built: it is all diagonal, and `words` reads its
+    circuits off power n-1.  Skipping it changes no guard outcome: w ->
+    w[:-1] maps the words of power n one-to-one into power n-1, so power n
+    never holds more words than power n-1."""
+    return LatinPowerSequence(graph, tuple(_depths(graph, range(graph.n), word_limit)))
 
 
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
@@ -300,38 +324,12 @@ def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
     stored words of power n-1, the deepest power built."""
     graph.check_hamiltonian_paths()
     found = []
-    for row in latin_powers(graph, word_limit).sparse[-1]:
-        for words in row.values():
+    for column in latin_powers(graph, word_limit).sparse[-1]:
+        for words in column.values():
             found += words
     # each entry is in canonical order already: this merges sorted runs
     found.sort()
     return found
-
-
-def _column(graph: DirectedGraph, j: int, depth: int, word_limit: int) -> list[list[Word]]:
-    """Column j of left power `depth`, at least 1: entry i holds the paths
-    of entry (i, j) in canonical order, and entry j is empty.  Depth k is
-    built from depth k-1 alone, as `latin_powers` builds a row: v_i
-    prepended over the arcs (i, m), m ascending.  The guard counts the
-    column's words at each depth, its circuits closing at v_j too, as
-    `latin_powers` does."""
-    succ = graph.successors
-    column = [()] * graph.n
-    column[j] = [(j,)]  # depth 0: the word of v_j alone
-    for k in range(1, depth + 1):
-        prev, column = column, []
-        # every word of entry (m, j) closes a circuit at v_j (a self-loop at
-        # depth 1): counted, not stored
-        count = sum(len(prev[m]) for m in succ[j])
-        for i, targets in enumerate(succ):
-            head = (i,)
-            # over a self-loop (i, i) nothing survives: v_i is in every word
-            new = [] if i == j else [head + w for m in targets for w in prev[m] if i not in w]
-            column.append(new)
-            count += len(new)
-            if count > word_limit:
-                raise WordLimitError(k, word_limit)
-    return column
 
 
 def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
@@ -345,12 +343,12 @@ def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LI
     v_1.  The guard counts the column at each depth, then the n words of
     each circuit as power n, whose diagonal they are."""
     n = graph.n
-    if n < 2:
-        # a one-vertex circuit is a self-loop: power 1's diagonal
-        anchored = [(0, 0)] if graph.arcs else []
-    else:
-        column = _column(graph, 0, n - 1, word_limit)
-        anchored = [(0,) + w for m in graph.successors[0] for w in column[m]]
+    # power 0's column 1; a one-vertex circuit is a self-loop, closed over it
+    column = {0: [(0,)]}
+    if n > 1:
+        for (column,) in _depths(graph, (0,), word_limit):
+            pass
+    anchored = _close(0, graph, column)
     if n * len(anchored) > word_limit:
         raise WordLimitError(n, word_limit)
     return anchored + sorted(w[r:] + w[1 : r + 1] for w in anchored for r in range(1, n))

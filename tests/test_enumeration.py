@@ -617,11 +617,11 @@ def assert_kernel_matches_reference(g):
     for k, expected in enumerate(reference, start=1):
         assert powers.power(k) == expected, k
         assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
-        # sparse rows: no empty and no diagonal entry is stored, and each
-        # entry is in canonical order
-        for i, row in enumerate(powers.sparse[k - 1] if k < g.n else ()):
-            assert all(row.values()), k
-            assert i not in row, (k, i)
+        # sparse columns: no empty and no diagonal entry is stored, and
+        # each entry is in canonical order
+        for j, column in enumerate(powers.sparse[k - 1] if k < g.n else ()):
+            assert all(column.values()), k
+            assert j not in column, (k, j)
         for i in range(g.n):
             for j in range(g.n):
                 words = powers.words(k, i, j)
@@ -690,6 +690,49 @@ class TestKernelAgainstReference:
         assert_kernel_matches_reference(g)
 
 
+def assert_columns_match_all_columns(g):
+    """Column j built alone by `_depths` equals column j of `latin_powers`
+    at every power it builds.  At each limit L that is a power's or one
+    column's word count, or one less, a column built alone is refused only
+    where `latin_powers` is refused too, and not at an earlier power: it
+    counts a part of the power's words."""
+    powers = latin_powers(g)
+    depths = len(powers.sparse)
+    columns = [
+        [sum(len(powers.words(k, i, j)) for i in range(g.n)) for j in range(g.n)]
+        for k in range(1, depths + 1)
+    ]
+    counts = {c for per_power in columns for c in (sum(per_power), *per_power)}
+    for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 0}):
+        try:
+            latin_powers(g, limit)
+            refused = None
+        except WordLimitError as exc:
+            refused = exc.k
+        for j in range(g.n):
+            built = []
+            try:
+                for (column,) in enumeration._depths(g, (j,), limit):
+                    built.append(column)
+            except WordLimitError as exc:
+                assert refused is not None and refused <= exc.k, (g, limit, j)
+            else:
+                assert len(built) == depths, (g, limit, j)
+            for k, column in enumerate(built, start=1):
+                assert column == powers.sparse[k - 1][j], (g, limit, j, k)
+
+
+class TestColumnsAgainstAllColumns:
+    def test_corpus(self, corpus):
+        for g in corpus:
+            assert_columns_match_all_columns(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_loops(6))
+    def test_random_graphs_with_loops(self, g):
+        assert_columns_match_all_columns(g)
+
+
 class TestCircuitsFromColumnOne:
     """On the corpus and on one vertex, `TestKernelAgainstReference` checks
     the circuits too, against the same reference powers."""
@@ -749,15 +792,15 @@ class TestGuards:
 
     def test_word_limit_stops_inside_the_power(self):
         # K8's fourth power: 8*7*6*5*4 = 6,720 paths plus 8*7*6*5 = 1,680
-        # circuits, 1,050 words in each of its 8 rows.  The guard fires at
-        # the row that takes the count over the limit: the fifth, with 5,250
-        # words built, not all 8,400.
+        # circuits, 1,050 words in each of its 8 columns.  The guard fires at
+        # the column that takes the count over the limit: the fifth, with
+        # 5,250 words built, not all 8,400.
         with pytest.raises(WordLimitError) as exc:
             latin_powers(complete_digraph(8), word_limit=5000)
         assert exc.value.k == 4
         assert str(exc.value) == "latin power 4 holds more words than the limit of 5000"
         built = exc.traceback[-1].locals
-        assert (len(built["cur"]), built["count"]) == (4, 5250)
+        assert (len(built["columns"]), built["count"]) == (4, 5250)
 
     def test_single_vertex_no_arcs(self):
         g = DirectedGraph(("a",), ())
