@@ -6,7 +6,11 @@ in the test suite and behind the CLI's --engine oracle flag.  Its queries
 check their arguments by the graph's rules, as the kernel's queries do, so
 both engines refuse bad arguments with the same message.  Every
 enumeration answers, as the kernel's queries do, with index words (tuples
-of vertex indices) in canonical order, which is tuple order.
+of vertex indices) in canonical order, which is tuple order.  One walk,
+`_simple_paths`, lists the simple paths of exactly k arcs from a source,
+already in that order: paths keep those that end at the target, circuits
+close the paths of k - 1 arcs over an arc back to the source, and
+Hamiltonian paths join the paths of n - 1 arcs from each source in turn.
 """
 
 from __future__ import annotations
@@ -31,51 +35,48 @@ class EnumerationResult:
         return tuple(VertexPath(tuple(map(name, w))) for w in self.words)
 
 
-def _simple_paths_from(graph: DirectedGraph, source: int, max_len: int):
-    """Yield every simple path from source with arc-length between 1 and
-    max_len, as a tuple of vertex indices, depth first in preorder.  The
-    walk keeps its own stack, so no recursion limit bounds its depth."""
+def _simple_paths(graph: DirectedGraph, source: int, k: int):
+    """Yield every simple path of exactly k arcs from source, as a tuple of
+    vertex indices.  The walk starts from the one-vertex word (source,),
+    its whole answer at k = 0, and extends it depth first with successors
+    ascending, so the paths come out in canonical order.  It keeps its own
+    stack, so no recursion limit bounds its depth."""
     succ = graph.successors
-    path = [source]
+    path: list[int] = []
     on_path = [False] * graph.n
-    on_path[source] = True
-    stack = [iter(succ[source])]  # stack[d]: the untried successors of path[d]
+    stack = [iter((source,))]  # stack[d]: the untried candidates for path[d]
     while stack:
         for nxt in stack[-1]:
             if not on_path[nxt]:
                 break
         else:
             stack.pop()
-            on_path[path.pop()] = False
+            if path:  # stack[0], the start (source,), has no vertex to step back from
+                on_path[path.pop()] = False
             continue
         path.append(nxt)
-        yield tuple(path)
-        if len(path) <= max_len:
+        if len(path) > k:
+            yield tuple(path)
+            path.pop()
+        else:
             on_path[nxt] = True
             stack.append(iter(succ[nxt]))
-        else:
-            path.pop()
 
 
 def dfs_elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int
 ) -> EnumerationResult:
     s, t = graph.path_ends(source, target, k)
-    hits = (p for p in _simple_paths_from(graph, s, k) if len(p) == k + 1 and p[-1] == t)
-    return EnumerationResult(tuple(sorted(hits)), graph.vertices)
+    return EnumerationResult(
+        tuple(p for p in _simple_paths(graph, s, k) if p[-1] == t), graph.vertices
+    )
 
 
 def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
     s = graph.circuit_start(start, k)
     succ = graph.successors
-    if k == 1:
-        hits = [(s, s)] if s in succ[s] else []
-    else:
-        hits = [
-            p + (s,) for p in _simple_paths_from(graph, s, k - 1)
-            if len(p) == k and s in succ[p[-1]]
-        ]
-    return EnumerationResult(tuple(sorted(hits)), graph.vertices)
+    hits = (p + (s,) for p in _simple_paths(graph, s, k - 1) if s in succ[p[-1]])
+    return EnumerationResult(tuple(hits), graph.vertices)
 
 
 def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
@@ -97,29 +98,29 @@ def enumerate_all_elementary(
     graph: DirectedGraph,
 ) -> dict[tuple[int, int, int], set[tuple[int, ...]]]:
     """Every elementary path and anchored circuit in one sweep, as index
-    words keyed by (source index, target index, arc-length).  One DFS per
-    source vertex."""
+    words keyed by (source index, target index, arc-length), arc-length 0
+    included: the one-vertex word.  One walk per source vertex and
+    arc-length below n; each path of k arcs that an arc closes back to its
+    source gives the circuit of k + 1 arcs."""
     succ = graph.successors
     out: dict[tuple[int, int, int], set[tuple[int, ...]]] = {}
     for s in range(graph.n):
-        if s in succ[s]:
-            out.setdefault((s, s, 1), set()).add((s, s))
-        for p in _simple_paths_from(graph, s, graph.n - 1):
-            k = len(p) - 1
-            out.setdefault((s, p[-1], k), set()).add(p)
-            if s in succ[p[-1]]:
-                out.setdefault((s, s, k + 1), set()).add(p + (s,))
+        for k in range(graph.n):
+            for p in _simple_paths(graph, s, k):
+                out.setdefault((s, p[-1], k), set()).add(p)
+                if s in succ[p[-1]]:
+                    out.setdefault((s, s, k + 1), set()).add(p + (s,))
     return out
 
 
 def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[tuple[int, ...]]:
     """Every Hamiltonian path (kind "path", arc-length n-1) or circuit (kind
     "circuit", arc-length n) as index words in canonical order: paths by a
-    walk from each source to depth n-1, circuits closed at n by
+    walk of n-1 arcs from each source, circuits closed at n by
     dfs_elementary_circuits from each start."""
     n = graph.n
     if kind == "circuit":
         # circuits from v_i come before those from v_{i+1} in canonical order
         return [w for s in graph.vertices for w in dfs_elementary_circuits(graph, s, n).words]
     graph.check_hamiltonian_paths()
-    return sorted(p for s in range(n) for p in _simple_paths_from(graph, s, n - 1) if len(p) == n)
+    return [p for s in range(n) for p in _simple_paths(graph, s, n - 1)]

@@ -19,8 +19,9 @@ Every entry of L is the single word v_i v_m, so entry (i, j) of the product
 prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
 (i, m); when i = j the prepended word closes a circuit.  Column j of
 L^[k] thus reads column j of L^[k-1] alone, and `_depths` builds the
-columns it is asked for one power at a time: every column for
-`latin_powers`, column 1 for `hamiltonian_circuits`.  A circuit is cyclic
+columns it is asked for one power at a time, to the depth its caller
+asks: every column to depth max(n-1, 1) for `latin_powers`, column 1 to
+depth n-1 for `hamiltonian_circuits`.  A circuit is cyclic
 and absorbs in every later product, so the kernel counts the circuits of
 each column into the explosion guard but stores none: the guard counts
 every word of the columns built, paths and circuits, and `_close` builds
@@ -163,10 +164,10 @@ class LatinPowerSequence:
 
 
 def _depths(
-    graph: DirectedGraph, targets: Sequence[int], word_limit: int
+    graph: DirectedGraph, targets: Sequence[int], depth: int, word_limit: int
 ) -> Iterator[SparsePower]:
-    """Columns `targets` of left powers 1..max(n-1, 1), one power at a
-    time: the depth-k list holds, per target j, column j of power k as
+    """Columns `targets` of left powers 1..depth, one power at a time: the
+    depth-k list holds, per target j, column j of power k as
     {i: the paths of entry (i, j) in canonical order}, nonempty entries
     only and never entry j.  Column j of power k is built from column j of
     power k-1 alone (power 0's is the word of v_j): v_i prepended to the
@@ -187,7 +188,7 @@ def _depths(
                 into[m].append((i, head))
     loops = sum(j in succ[j] for j in targets)
     columns: SparsePower = [{j: [(j,)]} for j in targets]
-    for k in range(1, max(graph.n, 2)):
+    for k in range(1, depth + 1):
         prev, columns, count = columns, [], loops if k == 1 else 0
         for j, before in zip(targets, prev):
             column: dict[int, list[Word]] = {}
@@ -231,7 +232,8 @@ def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> 
     circuits off power n-1.  Skipping it changes no guard outcome: w ->
     w[:-1] maps the words of power n one-to-one into power n-1, so power n
     never holds more words than power n-1."""
-    return LatinPowerSequence(graph, tuple(_depths(graph, range(graph.n), word_limit)))
+    n = graph.n
+    return LatinPowerSequence(graph, tuple(_depths(graph, range(n), max(n - 1, 1), word_limit)))
 
 
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
@@ -345,9 +347,8 @@ def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LI
     n = graph.n
     # power 0's column 1; a one-vertex circuit is a self-loop, closed over it
     column = {0: [(0,)]}
-    if n > 1:
-        for (column,) in _depths(graph, (0,), word_limit):
-            pass
+    for (column,) in _depths(graph, (0,), n - 1, word_limit):
+        pass
     anchored = _close(0, graph, column)
     if n * len(anchored) > word_limit:
         raise WordLimitError(n, word_limit)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import latinpaths
 from latinpaths.graph import DirectedGraph, parse_graph
@@ -73,6 +74,22 @@ def random_graph(rng: random.Random, n: int, density: float) -> DirectedGraph:
         (u, v) for u in names for v in names if rng.random() < density
     )
     return DirectedGraph(names, arcs)
+
+
+def graphs_with_loops(max_n: int):
+    """Graphs on v0..v{n-1}, n in 1..max_n, with any arcs, self-loops too."""
+
+    def build(shape):
+        n, arcs = shape
+        names = tuple(f"v{i}" for i in range(n))
+        return DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
+
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    ).map(build)
 
 
 def build_corpus() -> list[DirectedGraph]:

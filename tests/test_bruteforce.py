@@ -2,6 +2,7 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings
 
 from latinpaths.bruteforce import (
     dfs_count_all_paths,
@@ -15,12 +16,13 @@ from latinpaths.enumeration import (
     count_paths,
     hamiltonian_circuits,
     hamiltonian_paths,
+    latin_powers,
 )
 from latinpaths.cli import main
 from latinpaths.graph import DirectedGraph, serialize_graph
 from latinpaths.semiring import mat_power_left
 
-from conftest import rendered_words
+from conftest import graphs_with_loops, rendered_words
 
 # Deeper than the interpreter's default recursion limit of 1000.  The lcdl
 # kernel is O(n^3) here, so only the oracle answers these.
@@ -163,17 +165,53 @@ class TestHamiltonian:
             dfs_hamiltonian(g, "path")
 
 
-class TestBulkEnumeration:
-    def test_matches_single_queries(self, five_vertex_graph):
-        g = five_vertex_graph
-        everything = enumerate_all_elementary(g)
+def assert_oracle_order_matches_kernel(g):
+    """At every k and every pair of vertices that both engines answer, the
+    oracle's words equal the kernel's as sequences: the walk yields them in
+    canonical order, with no sort."""
+    powers = latin_powers(g)
+    for k in range(1, g.n + 1):
         for i, u in enumerate(g.vertices):
             for j, v in enumerate(g.vertices):
-                for k in range(1, g.n + 1):
-                    if u == v:
-                        expected = dfs_elementary_circuits(g, u, k).words
-                    elif k <= g.n - 1:
-                        expected = dfs_elementary_paths(g, u, v, k).words
-                    else:
-                        continue
-                    assert everything.get((i, j, k), set()) == set(expected)
+                if i == j:
+                    words = dfs_elementary_circuits(g, u, k).words
+                elif k < g.n:
+                    words = dfs_elementary_paths(g, u, v, k).words
+                else:
+                    continue
+                assert words == tuple(powers.words(k, i, j)), (g, k, i, j)
+
+
+class TestOrderAgainstKernel:
+    def test_corpus(self, four_vertex_graph, five_vertex_graph, corpus):
+        graphs = (four_vertex_graph, five_vertex_graph, *corpus)
+        # k = 1 is read at vertices with a self-loop and at vertices without
+        assert {i in g.successors[i] for g in graphs for i in range(g.n)} == {True, False}
+        for g in graphs:
+            assert_oracle_order_matches_kernel(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_loops(6))
+    def test_random_graphs_with_loops(self, g):
+        assert_oracle_order_matches_kernel(g)
+
+
+class TestBulkEnumeration:
+    def test_matches_single_queries(self, four_vertex_graph, five_vertex_graph, corpus):
+        # the four-vertex graph has two self-loops, which close one-arc circuits
+        graphs = (four_vertex_graph, five_vertex_graph, *corpus[:20])
+        for g in graphs:
+            # arc-length 0: the one-vertex word of each vertex
+            expected = {(i, i, 0): {(i,)} for i in range(g.n)}
+            for i, u in enumerate(g.vertices):
+                for j, v in enumerate(g.vertices):
+                    for k in range(1, g.n + 1):
+                        if u == v:
+                            words = dfs_elementary_circuits(g, u, k).words
+                        elif k <= g.n - 1:
+                            words = dfs_elementary_paths(g, u, v, k).words
+                        else:
+                            continue
+                        if words:
+                            expected[i, j, k] = set(words)
+            assert enumerate_all_elementary(g) == expected, g

@@ -31,7 +31,7 @@ from latinpaths.enumeration import (
 from latinpaths.graph import DirectedGraph
 from latinpaths.semiring import mat_mul
 
-from conftest import rendered_words, word_of
+from conftest import graphs_with_loops, rendered_words, word_of
 
 
 @pytest.fixture(scope="module")
@@ -535,22 +535,6 @@ def stored_words(matrix) -> list[int]:
     return [len(entry.words) for row in matrix.rows for entry in row]
 
 
-def graphs_with_loops(max_n: int):
-    """Graphs on v0..v{n-1}, n in 1..max_n, with any arcs, self-loops too."""
-
-    def build(shape):
-        n, arcs = shape
-        names = tuple(f"v{i}" for i in range(n))
-        return DirectedGraph(names, tuple((names[u], names[v]) for u, v in sorted(arcs)))
-
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-        )
-    ).map(build)
-
-
 # 1, 2, 3 and 2^b - 1, 2^b, 2^b + 1 for b up to 12: every bit pattern
 # edge of binary powering
 COUNT_LENGTHS = tuple(sorted({1, 2, 3} | {2**b + d for b in range(2, 13) for d in (-1, 0, 1)}))
@@ -712,7 +696,7 @@ def assert_columns_match_all_columns(g):
         for j in range(g.n):
             built = []
             try:
-                for (column,) in enumeration._depths(g, (j,), limit):
+                for (column,) in enumeration._depths(g, (j,), depths, limit):
                     built.append(column)
             except WordLimitError as exc:
                 assert refused is not None and refused <= exc.k, (g, limit, j)
