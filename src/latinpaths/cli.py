@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=_positive_int,
         default=enumeration.DEFAULT_WORD_LIMIT,
-        help="word guard on each latin power built, its paths and circuits (on "
+        help="word guard on each latin power 1..n-1, its paths and circuits (on "
         "column 1 and then power n for Hamiltonian circuits), or on the "
         "entries of each power of the optimal recurrence (lcdl engine only)",
     )

@@ -6,12 +6,16 @@ elementary circuits).  `latin_powers` builds powers 1..n-1 in one call and
 returns them; power n, all diagonal, is read off power n-1.  Each query
 checks its arguments first, by the rules `DirectedGraph` holds for both
 engines (`path_ends`, `circuit_start`, `check_power`,
-`check_hamiltonian_paths`, `walk_ends`), and only then calls
-`latin_powers` itself, except `hamiltonian_circuits`, which builds column 1
-alone and rotates the circuits it closes.  Each query reads its words
-straight off the powers it built, as sorted index words (`Word`), and
-builds no object per answer: names and costs are looked up per vertex index
-only when the CLI writes the answer.  Nothing is cached across calls.
+`check_hamiltonian_paths`, `walk_ends`), and only then builds.
+`hamiltonian_paths` reads `latin_powers`; `hamiltonian_circuits` builds
+column 1 alone and rotates the circuits it closes.  The other queries build
+only the columns and depths they read (`_columns`) where `_fits` proves
+that no power 1..n-1 goes over the limit, and read `latin_powers`
+elsewhere, so they are refused exactly where powers 1..n-1 are.  Each
+query reads its words straight off what it built, as sorted index words
+(`Word`), and builds no object per answer: names and costs are looked up
+per vertex index only when the CLI writes the answer.  Nothing is cached
+across calls.
 
 One kernel, `_depths`, is specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
@@ -21,7 +25,8 @@ prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
 L^[k] thus reads column j of L^[k-1] alone, and `_depths` builds the
 columns it is asked for one power at a time, to the depth its caller
 asks: every column to depth max(n-1, 1) for `latin_powers`, column 1 to
-depth n-1 for `hamiltonian_circuits`.  A circuit is cyclic
+depth n-1 for `hamiltonian_circuits`, and for the other queries, where
+`_fits` holds, the columns and depths they read.  A circuit is cyclic
 and absorbs in every later product, so the kernel counts the circuits of
 each column into the explosion guard but stores none: the guard counts
 every word of the columns built, paths and circuits, and `_close` builds
@@ -236,6 +241,54 @@ def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> 
     return LatinPowerSequence(graph, tuple(_depths(graph, range(n), max(n - 1, 1), word_limit)))
 
 
+def _fits(graph: DirectedGraph, word_limit: int) -> bool:
+    """True only when no power that `latin_powers` builds holds more than
+    `word_limit` words as the guard counts them, so that it is not refused.
+
+    Power 1 holds the m arcs.  Every word of a power k >= 2, a path or an
+    anchored circuit, is a walk of k arcs that uses no self-loop and never
+    turns straight back (v_{t+2} != v_t), save power 2's circuits, the
+    ordered 2-cycles.  Such walks are counted per last arc, as by
+    Hashimoto's non-backtracking matrix: those that end with the arc (a, b)
+    are those that end at a, less those whose last arc is (b, a).  O(m)
+    per power; it stops once a bound passes the limit or every count is 0."""
+    succ = graph.successors
+    if sum(map(len, succ)) > word_limit:
+        return False
+    arcs = [(a, b) for a, row in enumerate(succ) for b in row if a != b]
+    ids = {arc: e for e, arc in enumerate(arcs)}
+    # the id of the reverse arc, or of the 0 kept after the last arc
+    back = [ids.get((b, a), len(arcs)) for a, b in arcs]
+    walks = [1] * len(arcs) + [0]  # power 1's
+    for k in range(2, graph.n):
+        ending = [0] * graph.n
+        for (_, b), count in zip(arcs, walks):
+            ending[b] += count
+        # power 2's circuits: the walks of power 1 that turn straight back
+        turns = sum(map(walks.__getitem__, back)) if k == 2 else 0
+        walks = [ending[a] - walks[r] for (a, _), r in zip(arcs, back)] + [0]
+        bound = sum(walks)
+        if bound + turns > word_limit:
+            return False
+        if not bound:
+            break
+    return True
+
+
+def _columns(
+    graph: DirectedGraph, targets: Sequence[int], depth: int, word_limit: int
+) -> Iterator[SparsePower]:
+    """Columns `targets` of powers 1..depth, depth < n, as `_depths` yields
+    them, with the outcome of the guard on powers 1..n-1: built alone when
+    `_fits` proves that guard cannot fire, else read off `latin_powers`,
+    which builds every column and is refused where it goes over."""
+    if _fits(graph, word_limit):
+        yield from _depths(graph, targets, depth, word_limit)
+    else:
+        for power in latin_powers(graph, word_limit).sparse[:depth]:
+            yield [power[j] for j in targets]
+
+
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
     """Kernel words as a matrix of distinguished languages: rows[i][j]
     holds the index words of entry (i, j), simple words off the diagonal
@@ -298,27 +351,35 @@ def elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
     """The elementary paths of arc-length k from source to target, as index
-    words in canonical order."""
+    words in canonical order: entry (source, target) of column target at
+    depth k."""
     i, j = graph.path_ends(source, target, k)
-    return tuple(latin_powers(graph, word_limit).words(k, i, j))
+    for (column,) in _columns(graph, (j,), k, word_limit):
+        pass
+    return tuple(column.get(i, ()))
 
 
 def elementary_circuits(
     graph: DirectedGraph, start: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
     """The elementary circuits of arc-length k through start, anchored there,
-    as index words in canonical order."""
+    as index words in canonical order: column start at depth k-1, closed."""
     i = graph.circuit_start(start, k)
-    return tuple(latin_powers(graph, word_limit).words(k, i, i))
+    column = {i: [(i,)]}  # power 0's column
+    for (column,) in _columns(graph, (i,), k - 1, word_limit):
+        pass
+    return tuple(_close(i, graph, column))
 
 
 def power_entries(
     graph: DirectedGraph, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> list[list[Sequence[Word]]]:
     """Every entry of the k-th power: rows[i][j] holds the words of entry
-    (i, j) in canonical order."""
+    (i, j) in canonical order.  Every column is built to depth k (n-1 for
+    k = n, whose paths are none), and the diagonal closed from depth k-1."""
     graph.check_power(k)
-    return latin_powers(graph, word_limit)._dense(k)
+    depths = _columns(graph, range(graph.n), min(k, graph.n - 1), word_limit)
+    return LatinPowerSequence(graph, tuple(depths))._dense(k)
 
 
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
@@ -376,9 +437,12 @@ def max_length_elementary(
     path (circuit when target is omitted or equals source) exists at all."""
     i = graph.index(source)
     j = i if target is None else graph.index(target)
-    powers = latin_powers(graph, word_limit)
-    for k in range(graph.n if i == j else graph.n - 1, 0, -1):
-        if words := powers.words(k, i, j):
+    n = graph.n
+    # column j at depths 0..n-1, power 0's the word of v_j alone
+    column = [{j: [(j,)]}, *(c for (c,) in _columns(graph, (j,), n - 1, word_limit))]
+    for k in range(n if i == j else n - 1, 0, -1):
+        words = _close(i, graph, column[k - 1]) if i == j else column[k].get(i)
+        if words:
             return k, tuple(words)
     return None
 

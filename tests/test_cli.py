@@ -138,37 +138,63 @@ def _power_words(powers) -> list[int]:
 
 
 class TestPowersBuilt:
-    """Every command that reads latin powers builds powers 1..n-1 (power 1
-    alone on a one-vertex graph) and reads power n off power n-1.
-    `hamiltonian --kind circuit` builds none: it builds column 1 alone."""
+    """What each command builds, recorded as every `_depths` call, its
+    (targets, depth), and every `latin_powers` call, which builds every
+    column to depth max(n-1, 1) through `_depths`.  Where `_fits` proves
+    that no power 1..n-1 goes over the limit, `paths`, `circuits` and
+    `matrix` build only the columns and depths they read: column J to depth
+    K, column I to depth K-1, every column to depth min(K, n-1).  Under a
+    lower limit they build powers 1..n-1, whose guard decides the outcome.
+    `hamiltonian --kind path` builds powers 1..n-1 and reads power n off
+    them; `hamiltonian --kind circuit` builds column 1 alone."""
 
     def test_depth_per_command(self, five_file, tmp_path, monkeypatch):
         built = []
+        depths, powers = enumeration._depths, enumeration.latin_powers
 
-        def recording(*args, **kwargs):
-            powers = latin_powers(*args, **kwargs)
-            built.append(len(powers.sparse))
-            return powers
+        def recording_depths(graph, targets, depth, word_limit):
+            built.append((tuple(targets), depth))
+            return depths(graph, targets, depth, word_limit)
 
-        monkeypatch.setattr(enumeration, "latin_powers", recording)
+        def recording_powers(*args, **kwargs):
+            built.append("latin_powers")
+            return powers(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_depths", recording_depths)
+        monkeypatch.setattr(enumeration, "latin_powers", recording_powers)
         one = tmp_path / "one.txt"
         one.write_text("vertices: a\na a\n")
+        every = tuple(range(5))
+        # the five-vertex graph's powers hold 12, 29, 34, 23 and 5 words;
+        # `_fits` holds from a limit of 59 up
+        full = ["latin_powers", (every, 4)]
         queries = {
-            ("hamiltonian", five_file, "--kind", "path"): [4],
-            ("hamiltonian", five_file, "--kind", "circuit"): [],
-            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3"): [4],
-            ("circuits", five_file, "-i", "1", "-k", "5"): [4],
-            ("matrix", five_file, "-k", "4"): [4],
-            ("matrix", five_file, "-k", "5"): [4],
-            ("hamiltonian", str(one), "--kind", "circuit"): [],
-            ("circuits", str(one), "-i", "a", "-k", "1"): [1],
-            ("matrix", str(one), "-k", "1"): [1],
+            ("hamiltonian", five_file, "--kind", "path"): full,
+            ("hamiltonian", five_file, "--kind", "circuit"): [((0,), 4)],
+            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3"): [((1,), 3)],
+            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3", "--limit", "59"): [((1,), 3)],
+            ("paths", five_file, "-i", "1", "-j", "2", "-k", "3", "--limit", "58"): full,
+            ("circuits", five_file, "-i", "1", "-k", "5"): [((0,), 4)],
+            ("circuits", five_file, "-i", "3", "-k", "2", "--limit", "34"): full,
+            ("matrix", five_file, "-k", "2"): [(every, 2)],
+            ("matrix", five_file, "-k", "4"): [(every, 4)],
+            ("matrix", five_file, "-k", "5"): [(every, 4)],
+            ("matrix", five_file, "-k", "5", "--limit", "34"): full,
+            ("hamiltonian", str(one), "--kind", "circuit"): [((0,), 0)],
+            ("circuits", str(one), "-i", "a", "-k", "1"): [((0,), 0)],
+            ("circuits", str(one), "-i", "a", "-k", "1", "--limit", "1"): [((0,), 0)],
+            ("matrix", str(one), "-k", "1"): [((0,), 0)],
         }
-        for query, depths in queries.items():
+        for query, expected in queries.items():
             built.clear()
             code, _, err = run_cli(*query)
             assert code == 0, err
-            assert built == depths, query
+            assert built == expected, query
+        # under a limit that a power goes over, the full build refuses
+        built.clear()
+        code, _, err = run_cli("paths", five_file, "-i", "1", "-j", "2", "-k", "1", "--limit", "33")
+        assert (code, err) == (3, "error: latin power 3 holds more words than the limit of 33\n")
+        assert built == full
 
     def test_one_vertex_path_query_is_refused(self, tmp_path):
         path = tmp_path / "one.txt"
@@ -585,6 +611,7 @@ class TestErrorsAndGuards:
         query = {("optimal", "lcdl"): "held_karp", ("hamiltonian", "oracle"): "dfs_hamiltonian"}
         for module, name in (
             (enumeration, "latin_powers"),
+            (enumeration, "_depths"),
             (enumeration, "held_karp"),
             (bruteforce, "dfs_hamiltonian"),
         ):
@@ -618,6 +645,32 @@ class TestErrorsAndGuards:
         assert (code, out) == (3, "")
         assert "latin power 1 holds more words than the limit of 1" in err
         assert run_cli(*query, "--limit", "2")[:2] == (0, "a-b\n")
+
+    def test_limit_refuses_where_powers_one_to_n_minus_one_go_over(self, tmp_path):
+        # Column v2 of K8 holds 42 words at depth 2, but the query is
+        # refused where building powers 1..7 is: at power 4, 8,400 words
+        path = tmp_path / "k8.txt"
+        names = [f"v{i}" for i in range(1, 9)]
+        arcs = "".join(f"{u} {v}\n" for u in names for v in names if u != v)
+        path.write_text(f"vertices: {' '.join(names)}\n{arcs}")
+        result = run_cli("paths", str(path), "-i", "v1", "-j", "v2", "-k", "2", "--limit", "5000")
+        assert result == (3, "", "error: latin power 4 holds more words than the limit of 5000\n")
+
+    def test_shallow_chain_query_builds_one_column(self, tmp_path):
+        # A 360-vertex chain's powers 1..359 hold 64,620 paths of up to 360
+        # vertices; column v3 holds one path at depth 2
+        path = tmp_path / "chain.txt"
+        names = [f"v{i}" for i in range(1, 361)]
+        arcs = "".join(f"{u} {v}\n" for u, v in zip(names, names[1:]))
+        path.write_text(f"vertices: {' '.join(names)}\n{arcs}")
+        tracemalloc.start()
+        try:
+            result = run_cli("paths", str(path), "-i", "v1", "-j", "v3", "-k", "2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "v1-v2-v3\n", "")
+        assert peak < 2_000_000, peak
 
     @pytest.mark.parametrize("limit", ["0", "-1", "x"])
     def test_limit_must_be_positive(self, five_file, limit):

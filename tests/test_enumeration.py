@@ -26,6 +26,7 @@ from latinpaths.enumeration import (
     latin_powers,
     max_length_elementary,
     optimal_hamiltonian,
+    power_entries,
     reference_powers,
 )
 from latinpaths.graph import DirectedGraph
@@ -715,6 +716,94 @@ class TestColumnsAgainstAllColumns:
     @given(graphs_with_loops(6))
     def test_random_graphs_with_loops(self, g):
         assert_columns_match_all_columns(g)
+
+
+def _outcome(query, *args, **kwargs):
+    """What a query returns, or the message of the `WordLimitError` it
+    raises."""
+    try:
+        return query(*args, **kwargs)
+    except WordLimitError as exc:
+        return str(exc)
+
+
+def _longest(powers, i, j):
+    n = len(powers.vertices)
+    for k in range(n if i == j else n - 1, 0, -1):
+        if words := powers.words(k, i, j):
+            return k, tuple(words)
+    return None
+
+
+def assert_queries_match_all_columns(g):
+    """`_fits` holds only where `latin_powers` is not refused, and not one
+    below the largest power's word count.  At each limit within 1 of a
+    power's word count, every column query gives the words that
+    `latin_powers` holds, or the message it is refused with: paths, circuits
+    (k = 1 included), every power's entries (k = n included) and the
+    longest enumeration."""
+    n = g.n
+    full = latin_powers(g)
+    counts = [
+        sum(len(full.words(k, i, j)) for i in range(n) for j in range(n))
+        for k in range(1, len(full.sparse) + 1)
+    ]
+    assert not enumeration._fits(g, max(counts) - 1), (g, counts)
+    names = g.vertices
+    for limit in sorted({c + d for c in counts for d in (-1, 0, 1) if c + d >= 1}):
+        powers = _outcome(latin_powers, g, limit)
+        refused = isinstance(powers, str)
+        assert not (refused and enumeration._fits(g, limit)), (g, limit)
+
+        # where `_fits` fails every query reads `latin_powers`, so there one
+        # power and one entry (i, j) are checked, all of them elsewhere
+        fits = enumeration._fits(g, limit)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        if not fits:
+            pairs = [pairs[limit % len(pairs)]]
+
+        def expect(read):
+            return powers if refused else read(powers)
+
+        for k in range(1, n + 1) if fits else [limit % n + 1]:
+            assert _outcome(power_entries, g, k, limit) == expect(lambda p: p._dense(k)), (g, k)
+            for i, j in pairs:
+                if i == j:
+                    expected = expect(lambda p: tuple(p.words(k, i, i)))
+                    assert _outcome(elementary_circuits, g, names[i], k, limit) == expected
+                elif k < n:
+                    expected = expect(lambda p: tuple(p.words(k, i, j)))
+                    assert _outcome(elementary_paths, g, names[i], names[j], k, limit) == expected
+        for i, j in pairs:
+            expected = expect(lambda p: _longest(p, i, j))
+            got = _outcome(max_length_elementary, g, names[i], names[j], word_limit=limit)
+            assert got == expected, (g, limit, i, j)
+
+
+class TestColumnQueriesAgainstAllColumns:
+    def test_corpus(self, corpus):
+        for g in corpus:
+            assert_queries_match_all_columns(g)
+
+    @pytest.mark.parametrize("arcs", [(), (("a", "a"),)])
+    def test_single_vertex(self, arcs):
+        assert_queries_match_all_columns(DirectedGraph(("a",), arcs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_loops(6))
+    def test_random_graphs_with_loops(self, g):
+        assert_queries_match_all_columns(g)
+
+    def test_bound_on_complete_digraphs(self):
+        # the bound on power k of K_n is the n (n-1) (n-2)^(k-1) walks that
+        # never turn back, plus the n (n-1) 2-cycles at k = 2; it grows
+        # with k, to 2,612,736 at K8's power 7, which holds 40,320 paths
+        # and 35,280 circuits
+        g = complete_digraph(8)
+        assert 8 * 7 * 6**6 == 2_612_736
+        assert [enumeration._fits(g, limit) for limit in (5000, 2_612_735, 2_612_736)] == [
+            False, False, True
+        ]
 
 
 class TestCircuitsFromColumnOne:
