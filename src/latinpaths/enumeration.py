@@ -2,16 +2,17 @@
 
 The k-th left power of the latin matrix holds, entry (i, j), exactly the
 elementary paths of arc-length k from v_i to v_j (diagonal entries hold the
-elementary circuits).  `latin_powers` builds powers 1..n-1 in one call and
-returns them; power n, all diagonal, is read off power n-1.  Each query
-checks its arguments first, by the rules `DirectedGraph` holds for both
-engines (`path_ends`, `circuit_start`, `check_power`,
-`check_hamiltonian_paths`, `walk_ends`), and only then builds.
-`hamiltonian_paths` reads `latin_powers`; `hamiltonian_circuits` builds
-column 1 alone and rotates the circuits it closes.  The other queries build
-only the columns and depths they read (`_columns`) where `_fits` proves
-that no power 1..n-1 goes over the limit, and read `latin_powers`
-elsewhere, so they are refused exactly where powers 1..n-1 are.  Each
+elementary circuits).  Power n is all diagonal and is never built: its
+circuits are closed from power n-1.  Each query checks its arguments
+first, by the rules `DirectedGraph` holds for both engines (`path_ends`,
+`circuit_start`, `check_power`, `check_hamiltonian_paths`, `walk_ends`),
+and only then builds, keeping only the depths it reads.
+`hamiltonian_paths` builds every column to depth n-1 and keeps the last;
+`hamiltonian_circuits` builds column 1 alone and rotates the circuits it
+closes.  The other queries build only the columns and depths they read
+(`_columns`) where `_fits` proves that no power 1..n-1 goes over the
+limit, and elsewhere build every column to depth n-1 and keep the ones
+they read, so they are refused exactly where powers 1..n-1 are.  Each
 query reads its words straight off what it built, as sorted index words
 (`Word`), and builds no object per answer: names and costs are looked up
 per vertex index only when the CLI writes the answer.  Nothing is cached
@@ -24,9 +25,10 @@ prepends v_i to each word of L^[k-1][m][j] that avoids v_i, over the arcs
 (i, m); when i = j the prepended word closes a circuit.  Column j of
 L^[k] thus reads column j of L^[k-1] alone, and `_depths` builds the
 columns it is asked for one power at a time, to the depth its caller
-asks: every column to depth max(n-1, 1) for `latin_powers`, column 1 to
-depth n-1 for `hamiltonian_circuits`, and for the other queries, where
-`_fits` holds, the columns and depths they read.  A circuit is cyclic
+asks: every column to depth n-1 for `hamiltonian_paths` and for the
+other queries where `_fits` fails, column 1 to depth n-1 for
+`hamiltonian_circuits`, and the columns and depths they read for the
+other queries where `_fits` holds.  A circuit is cyclic
 and absorbs in every later product, so the kernel counts the circuits of
 each column into the explosion guard but stores none: the guard counts
 every word of the columns built, paths and circuits, and `_close` builds
@@ -38,11 +40,10 @@ not n^2.  Each entry comes out in canonical order, since m ascends and
 every entry of L^[k-1] is in that order already.
 The generic product over the semiring of distinguished languages stays
 as the executable reference: `latin_matrix` builds L from
-the arcs, `reference_powers` computes its left powers, and
-`LatinPowerSequence.power` rebuilds a kernel power in that representation,
-on demand, for comparison; `LatinPowerSequence.powers` is a dense view of
-every power, built on demand for readers that walk whole powers.  The
-`matrix` command reads every entry of one power (`power_entries`).
+the arcs, `reference_powers` computes its left powers, and the tests
+compare them with the kernel's entries (`power_entries`) rebuilt as
+languages (`_language_matrix`).  The `matrix` command reads every entry of
+one power (`power_entries`).
 `count_paths` reads entry (i, j) of A^k, A the adjacency matrix over
 the naturals, by one of two exact evaluations: k steps of column j of the
 left recurrence, about k m additions for m arcs, or binary powers of A,
@@ -69,8 +70,7 @@ integers of `graph.arc_cost`, and break ties by canonical order.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 
 from .graph import DirectedGraph, VertexPath, path_cost
 from .languages import DistinguishedLanguage
@@ -96,76 +96,6 @@ Word = tuple[int, ...]
 # The paths of some columns of one latin power: per column j, the nonempty
 # entries (i, j), i != j, as i -> their words in canonical order.
 SparsePower = list[dict[int, list[Word]]]
-
-
-# Plain slotted classes, not dataclasses: creating a dataclass adds about
-# 0.45 ms to every import of the package.
-class PowerEntry:
-    """Entry (i, j) of a latin power."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: Sequence[Word]):
-        self.words = words
-
-
-class WordMatrix:
-    """One latin power as a dense n x n matrix of entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[PowerEntry, ...], ...]):
-        self.rows = rows
-
-
-@dataclass(frozen=True, slots=True)
-class LatinPowerSequence:
-    graph: DirectedGraph
-    sparse: tuple[SparsePower, ...]  # sparse[k-1]: the paths of the k-th left power, k < n
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.vertices
-
-    def words(self, k: int, i: int, j: int) -> Sequence[Word]:
-        """The words of entry (i, j) of the k-th power, k in 1..n, in
-        canonical order.  Off the diagonal the list is the power's own, read
-        only, and empty at k = n: an n-arc path needs n+1 distinct vertices.
-        A diagonal entry, the circuits through v_i, is a fresh list built on
-        each call: column i of power k-1 closed over the arcs (i, m)."""
-        n = self.graph.n
-        if not 1 <= k <= n:
-            raise ValueError(f"power {k} out of range 1..{n}")
-        if i != j:
-            return self.sparse[k - 1][j].get(i, ()) if k < n else ()
-        # power 0's column i: the word of v_i alone
-        return _close(i, self.graph, self.sparse[k - 2][i] if k > 1 else {i: [(i,)]})
-
-    def _dense(self, k: int) -> list[list[Sequence[Word]]]:
-        n = self.graph.n
-        return [[self.words(k, i, j) for j in range(n)] for i in range(n)]
-
-    def power(self, k: int) -> SemiringMatrix:
-        """The k-th power as a matrix of distinguished languages, equal to
-        `mat_power_left(latin_matrix(graph), k)`.  Built on each call."""
-        return _language_matrix(self.vertices, self._dense(k))
-
-    @property
-    def powers(self) -> tuple[WordMatrix, ...]:
-        """Every power as a dense matrix of entries, powers[k-1] the k-th.
-        Built on each access, for readers that walk whole powers; read
-        only, as the entries off the diagonal share the powers' word
-        lists."""
-        empty = PowerEntry(())
-        return tuple(
-            WordMatrix(
-                tuple(
-                    tuple(PowerEntry(words) if words else empty for words in row)
-                    for row in self._dense(k)
-                )
-            )
-            for k in range(1, self.graph.n + 1)
-        )
 
 
 def _depths(
@@ -227,23 +157,19 @@ def _close(j: int, graph: DirectedGraph, column: dict[int, list[Word]]) -> list[
     return [head + w for m in graph.successors[j] for w in column.get(m, ())]
 
 
-def latin_powers(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> LatinPowerSequence:
-    """Left powers 1..n-1 of the latin matrix (power 1 alone when n <= 2),
-    with the explosion guard on each of them, the first included: every
-    column of `_depths`.  Only the paths are stored; the guard counts each
-    power's circuits too.
-
-    Power n is not built: it is all diagonal, and `words` reads its
-    circuits off power n-1.  Skipping it changes no guard outcome: w ->
-    w[:-1] maps the words of power n one-to-one into power n-1, so power n
-    never holds more words than power n-1."""
-    n = graph.n
-    return LatinPowerSequence(graph, tuple(_depths(graph, range(n), max(n - 1, 1), word_limit)))
+def latin_powers(
+    graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT
+) -> tuple[SparsePower, ...]:
+    """Every column of powers 1..max(n-1, 1), as `_depths` yields them and
+    under its guard: the all-columns view the tests read.  No query calls it."""
+    return tuple(_depths(graph, range(graph.n), max(graph.n - 1, 1), word_limit))
 
 
 def _fits(graph: DirectedGraph, word_limit: int) -> bool:
-    """True only when no power that `latin_powers` builds holds more than
-    `word_limit` words as the guard counts them, so that it is not refused.
+    """True only when no power 1..max(n-1, 1), every column of it built,
+    holds more than `word_limit` words as the guard counts them, so that
+    the full build is not refused.  Power n is never built: it is all
+    diagonal, and w -> w[:-1] maps its words one-to-one into power n-1.
 
     Power 1 holds the m arcs.  Every word of a power k >= 2, a path or an
     anchored circuit, is a walk of k arcs that uses no self-loop and never
@@ -251,7 +177,8 @@ def _fits(graph: DirectedGraph, word_limit: int) -> bool:
     ordered 2-cycles.  Such walks are counted per last arc, as by
     Hashimoto's non-backtracking matrix: those that end with the arc (a, b)
     are those that end at a, less those whose last arc is (b, a).  O(m)
-    per power; it stops once a bound passes the limit or every count is 0."""
+    per power; it stops once a bound passes the limit or no arc's count
+    grows: the matrix is nonnegative, so then no later count grows either."""
     succ = graph.successors
     if sum(map(len, succ)) > word_limit:
         return False
@@ -266,12 +193,12 @@ def _fits(graph: DirectedGraph, word_limit: int) -> bool:
             ending[b] += count
         # power 2's circuits: the walks of power 1 that turn straight back
         turns = sum(map(walks.__getitem__, back)) if k == 2 else 0
-        walks = [ending[a] - walks[r] for (a, _), r in zip(arcs, back)] + [0]
-        bound = sum(walks)
-        if bound + turns > word_limit:
+        new = [ending[a] - walks[r] for (a, _), r in zip(arcs, back)] + [0]
+        if sum(new) + turns > word_limit:
             return False
-        if not bound:
+        if all(map(le, new, walks)):
             break
+        walks = new
     return True
 
 
@@ -279,13 +206,16 @@ def _columns(
     graph: DirectedGraph, targets: Sequence[int], depth: int, word_limit: int
 ) -> Iterator[SparsePower]:
     """Columns `targets` of powers 1..depth, depth < n, as `_depths` yields
-    them, with the outcome of the guard on powers 1..n-1: built alone when
-    `_fits` proves that guard cannot fire, else read off `latin_powers`,
-    which builds every column and is refused where it goes over."""
+    them, with the outcome of the guard on every column of powers
+    1..max(n-1, 1): built alone when `_fits` proves that guard cannot
+    fire, else taken from a build of every column to that depth, which is
+    refused where a power goes over."""
     if _fits(graph, word_limit):
         yield from _depths(graph, targets, depth, word_limit)
-    else:
-        for power in latin_powers(graph, word_limit).sparse[:depth]:
+        return
+    n = graph.n
+    for k, power in enumerate(_depths(graph, range(n), max(n - 1, 1), word_limit), start=1):
+        if k <= depth:
             yield [power[j] for j in targets]
 
 
@@ -327,8 +257,8 @@ def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
 
 def reference_powers(graph: DirectedGraph) -> list[SemiringMatrix]:
     """All n left powers by the generic product over the semiring of
-    distinguished languages: the reference `latin_powers` is checked
-    against."""
+    distinguished languages: the reference the kernel's `power_entries`
+    are checked against."""
     base = latin_matrix(graph)
     powers = [base]
     for _ in range(graph.n - 1):
@@ -376,18 +306,35 @@ def power_entries(
 ) -> list[list[Sequence[Word]]]:
     """Every entry of the k-th power: rows[i][j] holds the words of entry
     (i, j) in canonical order.  Every column is built to depth k (n-1 for
-    k = n, whose paths are none), and the diagonal closed from depth k-1."""
+    k = n, whose paths are none), and only depths k-1 and k are kept: the
+    paths off the diagonal are depth k's own lists, read only, and the
+    diagonal is closed from depth k-1 into fresh lists."""
     graph.check_power(k)
-    depths = _columns(graph, range(graph.n), min(k, graph.n - 1), word_limit)
-    return LatinPowerSequence(graph, tuple(depths))._dense(k)
+    n = graph.n
+    before = [{j: [(j,)]} for j in range(n)]  # power 0's columns
+    at: SparsePower = [{}] * n
+    depths = _columns(graph, range(n), min(k, n - 1), word_limit)
+    for depth, columns in enumerate(depths, start=1):
+        if depth < k:
+            before = columns
+        else:
+            at = columns
+    rows: list[list[Sequence[Word]]] = [[at[j].get(i, ()) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = _close(i, graph, before[i])
+    return rows
 
 
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
-    stored words of power n-1, the deepest power built."""
+    words of power n-1, every column built to that depth and only the last
+    depth kept."""
     graph.check_hamiltonian_paths()
+    n = graph.n
+    for columns in _depths(graph, range(n), n - 1, word_limit):
+        pass
     found = []
-    for column in latin_powers(graph, word_limit).sparse[-1]:
+    for column in columns:
         for words in column.values():
             found += words
     # each entry is in canonical order already: this merges sorted runs
@@ -560,7 +507,7 @@ def held_karp(
 ) -> tuple[Word, int] | None:
     """What `optimal_hamiltonian` picks from every Hamiltonian path (kind
     "path") or circuit ("circuit"), without enumerating them: the left
-    recurrence of `latin_powers` keeping one word per entry (first vertex,
+    recurrence of `_depths` keeping one word per entry (first vertex,
     vertex mask), the Bellman / Held-Karp dynamic program over vertex sets.
 
     Power k maps each mask to {first vertex: least signed exact cost} of

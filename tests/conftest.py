@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import latinpaths
+from latinpaths.enumeration import _language_matrix, power_entries
 from latinpaths.graph import DirectedGraph, parse_graph
 
 # 4-vertex unweighted graph: dominant upper-triangular shape with two
@@ -66,6 +67,18 @@ def rendered_words(graph: DirectedGraph, words) -> list[str]:
 def word_of(graph: DirectedGraph, text: str) -> tuple[int, ...]:
     """The index word of the path written `text`, "v1-v2-v3"."""
     return tuple(graph.vertices.index(v) for v in text.split("-"))
+
+
+def kernel_entries(graph: DirectedGraph) -> list:
+    """Every entry of powers 1..n as the kernel gives them:
+    `kernel_entries(g)[k - 1][i][j]` is `power_entries(g, k)[i][j]`."""
+    return [power_entries(graph, k) for k in range(1, graph.n + 1)]
+
+
+def language_power(graph: DirectedGraph, k: int):
+    """The kernel's k-th power as a matrix of distinguished languages, the
+    form of `reference_powers`, from what `power_entries` gives `matrix`."""
+    return _language_matrix(graph.vertices, power_entries(graph, k))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> DirectedGraph:

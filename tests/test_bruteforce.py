@@ -16,13 +16,12 @@ from latinpaths.enumeration import (
     count_paths,
     hamiltonian_circuits,
     hamiltonian_paths,
-    latin_powers,
 )
 from latinpaths.cli import main
 from latinpaths.graph import DirectedGraph, serialize_graph
 from latinpaths.semiring import mat_power_left
 
-from conftest import graphs_with_loops, rendered_words
+from conftest import graphs_with_loops, kernel_entries, rendered_words
 
 # Deeper than the interpreter's default recursion limit of 1000.  The lcdl
 # kernel is O(n^3) here, so only the oracle answers these.
@@ -169,7 +168,7 @@ def assert_oracle_order_matches_kernel(g):
     """At every k and every pair of vertices that both engines answer, the
     oracle's words equal the kernel's as sequences: the walk yields them in
     canonical order, with no sort."""
-    powers = latin_powers(g)
+    powers = kernel_entries(g)
     for k in range(1, g.n + 1):
         for i, u in enumerate(g.vertices):
             for j, v in enumerate(g.vertices):
@@ -179,7 +178,7 @@ def assert_oracle_order_matches_kernel(g):
                     words = dfs_elementary_paths(g, u, v, k).words
                 else:
                     continue
-                assert words == tuple(powers.words(k, i, j)), (g, k, i, j)
+                assert words == tuple(powers[k - 1][i][j]), (g, k, i, j)
 
 
 class TestOrderAgainstKernel:

@@ -18,7 +18,7 @@ from latinpaths.enumeration import WordLimitError, latin_powers
 from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
 from latinpaths.words import Alphabet, enumerate_distinguished
 
-from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT
+from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, kernel_entries
 
 
 def run_cli(*argv):
@@ -127,47 +127,39 @@ class TestHamiltonian:
         assert payload["items"][0]["vertices"] == ["v1", "v2", "v3", "v4"]
 
 
-def _power_words(powers) -> list[int]:
-    """Words in each power of a `LatinPowerSequence`, as the guard counts
-    them: paths and circuits, though only the paths are stored."""
-    n = len(powers.vertices)
-    return [
-        sum(len(powers.words(k, i, j)) for i in range(n) for j in range(n))
-        for k in range(1, n + 1)
-    ]
+def _power_words(graph) -> list[int]:
+    """Words in each power 1..n, as the guard counts them: paths and
+    circuits, though the kernel stores only the paths."""
+    return [sum(len(words) for row in power for words in row) for power in kernel_entries(graph)]
 
 
 class TestPowersBuilt:
-    """What each command builds, recorded as every `_depths` call, its
-    (targets, depth), and every `latin_powers` call, which builds every
-    column to depth max(n-1, 1) through `_depths`.  Where `_fits` proves
-    that no power 1..n-1 goes over the limit, `paths`, `circuits` and
-    `matrix` build only the columns and depths they read: column J to depth
-    K, column I to depth K-1, every column to depth min(K, n-1).  Under a
-    lower limit they build powers 1..n-1, whose guard decides the outcome.
-    `hamiltonian --kind path` builds powers 1..n-1 and reads power n off
-    them; `hamiltonian --kind circuit` builds column 1 alone."""
+    """What each command builds, recorded as every `_depths` call and its
+    (targets, depth).  Where `_fits` proves that no power 1..n-1 goes over
+    the limit, `paths`, `circuits` and `matrix` build only the columns and
+    depths they read: column J to depth K, column I to depth K-1, every
+    column to depth min(K, n-1).  Under a lower limit they build every
+    column to depth n-1, whose guard decides the outcome, and keep the
+    columns and depths they read.  `hamiltonian --kind path` builds every
+    column to depth n-1 and reads power n-1 alone; `hamiltonian --kind
+    circuit` builds column 1 alone.  No command calls `latin_powers`
+    (`TestOptimal.test_builds_no_latin_powers`)."""
 
     def test_depth_per_command(self, five_file, tmp_path, monkeypatch):
         built = []
-        depths, powers = enumeration._depths, enumeration.latin_powers
+        depths = enumeration._depths
 
         def recording_depths(graph, targets, depth, word_limit):
             built.append((tuple(targets), depth))
             return depths(graph, targets, depth, word_limit)
 
-        def recording_powers(*args, **kwargs):
-            built.append("latin_powers")
-            return powers(*args, **kwargs)
-
         monkeypatch.setattr(enumeration, "_depths", recording_depths)
-        monkeypatch.setattr(enumeration, "latin_powers", recording_powers)
         one = tmp_path / "one.txt"
         one.write_text("vertices: a\na a\n")
         every = tuple(range(5))
         # the five-vertex graph's powers hold 12, 29, 34, 23 and 5 words;
         # `_fits` holds from a limit of 59 up
-        full = ["latin_powers", (every, 4)]
+        full = [(every, 4)]
         queries = {
             ("hamiltonian", five_file, "--kind", "path"): full,
             ("hamiltonian", five_file, "--kind", "circuit"): [((0,), 4)],
@@ -210,7 +202,7 @@ def assert_path_guard_matches_full_powers(graph, path):
     query exits 3 exactly when building all n powers under L fails, with
     the same message, and power n holds no more words than power n-1."""
     path.write_text(serialize_graph(graph))
-    counts = _power_words(latin_powers(graph))
+    counts = _power_words(graph)
     assert counts[-1] <= counts[-2], counts
     for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
         code, out, err = run_cli("hamiltonian", str(path), "--kind", "path", "--limit", str(limit))
@@ -254,7 +246,7 @@ def assert_circuit_guard_refuses_no_more(graph, path) -> int:
     code, full, err = run_cli(*query)
     assert (code, err) == (0, "")
     answered = 0
-    counts = _power_words(latin_powers(graph))
+    counts = _power_words(graph)
     for limit in sorted({c - d for c in counts for d in (0, 1) if c - d >= 1}):
         code, out, err = run_cli(*query, "--limit", str(limit))
         try:
@@ -424,14 +416,36 @@ class TestOptimal:
         assert "latin power 3 holds more words than the limit of 5544" in err
 
     def test_builds_no_latin_powers(self, five_file, monkeypatch):
-        from latinpaths import enumeration
-
+        # No command calls `latin_powers`, on either side of `_fits`.  The
+        # five-vertex graph's powers hold 12, 29, 34, 23 and 5 words:
+        # `_fits` holds at a limit of 59 and fails at 58, where the column
+        # queries build every column to depth 4 and answer alike; at 33
+        # that build refuses power 3.
         def refuse(*args, **kwargs):
             raise AssertionError("latin_powers called")
 
         monkeypatch.setattr(enumeration, "latin_powers", refuse)
-        for kind in ("path", "circuit"):
-            assert run_cli("optimal", five_file, "--kind", kind)[0] == 0
+        graph = parse_graph(FIVE_VERTEX_TEXT)
+        assert enumeration._fits(graph, 59) and not enumeration._fits(graph, 58)
+        refused = "error: latin power 3 holds more words than the limit of 33\n"
+        for query, refusal in {
+            ("hamiltonian", "--kind", "path"): refused,
+            ("hamiltonian", "--kind", "circuit"): None,
+            ("paths", "-i", "1", "-j", "2", "-k", "3"): refused,
+            ("circuits", "-i", "3", "-k", "2"): refused,
+            ("circuits", "-i", "1", "-k", "5"): refused,
+            ("matrix", "-k", "2"): refused,
+            ("matrix", "-k", "5"): refused,
+            ("optimal", "--kind", "path"): None,
+            ("optimal", "--kind", "circuit"): None,
+        }.items():
+            command, *rest = query
+            code, out, err = run_cli(command, five_file, *rest, "--limit", "59")
+            assert (code, err) == (0, ""), query
+            assert run_cli(command, five_file, *rest, "--limit", "58") == (0, out, ""), query
+            if refusal is not None:
+                assert run_cli(command, five_file, *rest, "--limit", "33") == (3, "", refusal)
+        assert run_cli("count", five_file, "-i", "1", "-j", "2", "-k", "3")[0] == 0
         assert run_cli("optimal", five_file, "--kind", "path", "--limit", "3")[0] == 3
 
 

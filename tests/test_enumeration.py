@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -32,22 +34,18 @@ from latinpaths.enumeration import (
 from latinpaths.graph import DirectedGraph
 from latinpaths.semiring import mat_mul
 
-from conftest import graphs_with_loops, rendered_words, word_of
-
-
-@pytest.fixture(scope="module")
-def powers4(four_vertex_graph):
-    return latin_powers(four_vertex_graph)
-
-
-@pytest.fixture(scope="module")
-def powers5(five_vertex_graph):
-    return latin_powers(five_vertex_graph)
+from conftest import (
+    graphs_with_loops,
+    kernel_entries,
+    language_power,
+    rendered_words,
+    word_of,
+)
 
 
 class TestPowersFourVertex:
-    def test_square(self, powers4):
-        rendered = [[e.render() for e in row] for row in powers4.power(2).rows]
+    def test_square(self, four_vertex_graph):
+        rendered = [[e.render() for e in row] for row in language_power(four_vertex_graph, 2).rows]
         assert rendered == [
             ["^", "^", "{v1-v2-v3}", "{v1-v2-v4, v1-v3-v4}"],
             ["^", "^", "^", "{v2-v3-v4}"],
@@ -55,8 +53,8 @@ class TestPowersFourVertex:
             ["^", "^", "^", "^"],
         ]
 
-    def test_cube(self, powers4):
-        cube = powers4.power(3)
+    def test_cube(self, four_vertex_graph):
+        cube = language_power(four_vertex_graph, 3)
         assert cube.rows[0][3].render() == "{v1-v2-v3-v4}"
         others = [
             cube.rows[i][j]
@@ -66,11 +64,11 @@ class TestPowersFourVertex:
         ]
         assert all(e.is_zero for e in others)
 
-    def test_fourth_power_all_zero(self, powers4):
-        assert all(e.is_zero for row in powers4.power(4).rows for e in row)
+    def test_fourth_power_all_zero(self, four_vertex_graph):
+        assert all(e.is_zero for row in language_power(four_vertex_graph, 4).rows for e in row)
 
-    def test_power_beyond_n_is_zero(self, four_vertex_graph, powers4):
-        beyond = mat_mul(latin_matrix(four_vertex_graph), powers4.power(4))
+    def test_power_beyond_n_is_zero(self, four_vertex_graph):
+        beyond = mat_mul(latin_matrix(four_vertex_graph), language_power(four_vertex_graph, 4))
         assert all(e.is_zero for row in beyond.rows for e in row)
 
 
@@ -183,14 +181,15 @@ class TestCountPaths:
         assert count_paths(four_vertex_graph, "v3", "v4", 1) == 1
         assert count_paths(four_vertex_graph, "v4", "v3", 1) == 0
 
-    def test_counts_at_least_elementary(self, four_vertex_graph, powers4):
+    def test_counts_at_least_elementary(self, four_vertex_graph):
         g = four_vertex_graph
+        powers = kernel_entries(g)
         for i in g.vertices:
             for j in g.vertices:
                 if i == j:
                     continue
                 for k in range(1, g.n):
-                    elem = powers4.words(k, g.index(i), g.index(j))
+                    elem = powers[k - 1][g.index(i)][g.index(j)]
                     assert count_paths(g, i, j, k) >= len(elem)
 
     def test_exact_big_integers(self):
@@ -435,14 +434,14 @@ class TestHeldKarp:
         # power with more than L entries, or answers.
         for g in corpus:
             g = DirectedGraph(g.vertices, g.arcs, (1,) * len(g.arcs))
-            powers = latin_powers(g)
+            powers = kernel_entries(g)
             for end in (None, *range(g.n)):
                 counts = [
                     len({
                         (w[0], frozenset(w))
                         for j in (range(g.n) if end is None else (end,))
                         for i in range(g.n) if i != j
-                        for w in powers.words(k, i, j)
+                        for w in powers[k - 1][i][j]
                     })
                     for k in range(1, g.n)
                 ]
@@ -500,10 +499,10 @@ class TestHeldKarp:
 
 
 class TestRoundTrip:
-    def test_decoded_paths_reencode(self, five_vertex_graph, powers5):
+    def test_decoded_paths_reencode(self, five_vertex_graph):
         g = five_vertex_graph
         for k in range(1, g.n + 1):
-            matrix = powers5.power(k)
+            matrix = language_power(g, k)
             for i, u in enumerate(g.vertices):
                 for j, v in enumerate(g.vertices):
                     entry = matrix.rows[i][j]
@@ -513,18 +512,18 @@ class TestRoundTrip:
 
 
 class TestPowerCache:
-    def test_matches_generic_left_powers(self, five_vertex_graph, powers5):
+    def test_matches_generic_left_powers(self, five_vertex_graph):
         from latinpaths.semiring import mat_power_left
 
         base = latin_matrix(five_vertex_graph)
         for k in range(1, 6):
-            assert powers5.power(k) == mat_power_left(base, k)
+            assert language_power(five_vertex_graph, k) == mat_power_left(base, k)
 
-    def test_power_index_out_of_range(self, powers5):
+    def test_power_index_out_of_range(self, five_vertex_graph):
         with pytest.raises(ValueError):
-            powers5.power(0)
+            power_entries(five_vertex_graph, 0)
         with pytest.raises(ValueError):
-            powers5.power(6)
+            power_entries(five_vertex_graph, 6)
 
 
 def complete_digraph(n: int) -> DirectedGraph:
@@ -594,30 +593,33 @@ class TestCountEvaluations:
 
 
 def assert_kernel_matches_reference(g):
-    powers = latin_powers(g)
+    sparse = latin_powers(g)
+    entries = kernel_entries(g)
     reference = reference_powers(g)
-    assert len(powers.powers) == len(reference) == g.n
+    assert len(entries) == len(reference) == g.n
     # power n is read off power n-1, not built
-    assert len(powers.sparse) == max(g.n - 1, 1)
+    assert len(sparse) == max(g.n - 1, 1)
     for k, expected in enumerate(reference, start=1):
-        assert powers.power(k) == expected, k
-        assert stored_words(powers.powers[k - 1]) == stored_words(expected), k
+        power = entries[k - 1]
+        assert language_power(g, k) == expected, k
+        assert [len(words) for row in power for words in row] == stored_words(expected), k
         # sparse columns: no empty and no diagonal entry is stored, and
         # each entry is in canonical order
-        for j, column in enumerate(powers.sparse[k - 1] if k < g.n else ()):
+        for j, column in enumerate(sparse[k - 1] if k < g.n else ()):
             assert all(column.values()), k
             assert j not in column, (k, j)
+        again = power_entries(g, k)
         for i in range(g.n):
             for j in range(g.n):
-                words = powers.words(k, i, j)
+                words = power[i][j]
                 assert list(words) == sorted(words), (k, i, j)
             # the diagonal, derived on read, is the reference's, and fresh
-            circuits = powers.words(k, i, i)
+            circuits = power[i][i]
             assert circuits == sorted(w.indices for w in expected.rows[i][i].words), (k, i)
-            assert circuits is not powers.words(k, i, i)
+            assert circuits is not again[i][i]
     # power n is all diagonal: an n-arc path needs n+1 distinct vertices
     assert all(
-        powers.words(g.n, i, j) == () for i in range(g.n) for j in range(g.n) if i != j
+        entries[-1][i][j] == () for i in range(g.n) for j in range(g.n) if i != j
     )
     assert_guard_matches_reference_counts(g, [sum(stored_words(p)) for p in reference])
     assert_circuits_match_reference(g, reference)
@@ -682,9 +684,10 @@ def assert_columns_match_all_columns(g):
     where `latin_powers` is refused too, and not at an earlier power: it
     counts a part of the power's words."""
     powers = latin_powers(g)
-    depths = len(powers.sparse)
+    depths = len(powers)
+    entries = kernel_entries(g)
     columns = [
-        [sum(len(powers.words(k, i, j)) for i in range(g.n)) for j in range(g.n)]
+        [sum(len(entries[k - 1][i][j]) for i in range(g.n)) for j in range(g.n)]
         for k in range(1, depths + 1)
     ]
     counts = {c for per_power in columns for c in (sum(per_power), *per_power)}
@@ -704,7 +707,7 @@ def assert_columns_match_all_columns(g):
             else:
                 assert len(built) == depths, (g, limit, j)
             for k, column in enumerate(built, start=1):
-                assert column == powers.sparse[k - 1][j], (g, limit, j, k)
+                assert column == powers[k - 1][j], (g, limit, j, k)
 
 
 class TestColumnsAgainstAllColumns:
@@ -727,10 +730,10 @@ def _outcome(query, *args, **kwargs):
         return str(exc)
 
 
-def _longest(powers, i, j):
-    n = len(powers.vertices)
+def _longest(entries, i, j):
+    n = len(entries)
     for k in range(n if i == j else n - 1, 0, -1):
-        if words := powers.words(k, i, j):
+        if words := entries[k - 1][i][j]:
             return k, tuple(words)
     return None
 
@@ -738,15 +741,15 @@ def _longest(powers, i, j):
 def assert_queries_match_all_columns(g):
     """`_fits` holds only where `latin_powers` is not refused, and not one
     below the largest power's word count.  At each limit within 1 of a
-    power's word count, every column query gives the words that
-    `latin_powers` holds, or the message it is refused with: paths, circuits
+    power's word count, every column query gives the words of the kernel's
+    entries, or the message `latin_powers` is refused with: paths, circuits
     (k = 1 included), every power's entries (k = n included) and the
     longest enumeration."""
     n = g.n
-    full = latin_powers(g)
+    entries = kernel_entries(g)
     counts = [
-        sum(len(full.words(k, i, j)) for i in range(n) for j in range(n))
-        for k in range(1, len(full.sparse) + 1)
+        sum(len(words) for row in entries[k - 1] for words in row)
+        for k in range(1, max(n - 1, 1) + 1)
     ]
     assert not enumeration._fits(g, max(counts) - 1), (g, counts)
     names = g.vertices
@@ -755,7 +758,7 @@ def assert_queries_match_all_columns(g):
         refused = isinstance(powers, str)
         assert not (refused and enumeration._fits(g, limit)), (g, limit)
 
-        # where `_fits` fails every query reads `latin_powers`, so there one
+        # where `_fits` fails every query builds every column, so there one
         # power and one entry (i, j) are checked, all of them elsewhere
         fits = enumeration._fits(g, limit)
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -763,19 +766,19 @@ def assert_queries_match_all_columns(g):
             pairs = [pairs[limit % len(pairs)]]
 
         def expect(read):
-            return powers if refused else read(powers)
+            return powers if refused else read(entries)
 
         for k in range(1, n + 1) if fits else [limit % n + 1]:
-            assert _outcome(power_entries, g, k, limit) == expect(lambda p: p._dense(k)), (g, k)
+            assert _outcome(power_entries, g, k, limit) == expect(lambda e: e[k - 1]), (g, k)
             for i, j in pairs:
                 if i == j:
-                    expected = expect(lambda p: tuple(p.words(k, i, i)))
+                    expected = expect(lambda e: tuple(e[k - 1][i][i]))
                     assert _outcome(elementary_circuits, g, names[i], k, limit) == expected
                 elif k < n:
-                    expected = expect(lambda p: tuple(p.words(k, i, j)))
+                    expected = expect(lambda e: tuple(e[k - 1][i][j]))
                     assert _outcome(elementary_paths, g, names[i], names[j], k, limit) == expected
         for i, j in pairs:
-            expected = expect(lambda p: _longest(p, i, j))
+            expected = expect(lambda e: _longest(e, i, j))
             got = _outcome(max_length_elementary, g, names[i], names[j], word_limit=limit)
             assert got == expected, (g, limit, i, j)
 
@@ -804,6 +807,63 @@ class TestColumnQueriesAgainstAllColumns:
         assert [enumeration._fits(g, limit) for limit in (5000, 2_612_735, 2_612_736)] == [
             False, False, True
         ]
+
+    def test_bound_stops_once_no_count_grows(self):
+        # A chain's per-arc walk counts stop growing at power 2, so the
+        # bound stops there rather than walking all n - 2 powers, which
+        # on this chain took seconds.
+        names = tuple(f"v{i}" for i in range(5000))
+        g = DirectedGraph(names, tuple(zip(names, names[1:])))
+        start = time.perf_counter()
+        assert enumeration._fits(g, 4999)
+        assert time.perf_counter() - start < 0.5
+        assert not enumeration._fits(g, 4998)  # power 1 holds the 4,999 arcs
+
+
+def _bytes_held(power) -> int:
+    """What one power of `latin_powers` holds, by `sys.getsizeof`: its
+    column list, its column dicts, their word lists and the words."""
+    held = sys.getsizeof(power)
+    for column in power:
+        held += sys.getsizeof(column)
+        for words in column.values():
+            held += sys.getsizeof(words) + sum(map(sys.getsizeof, words))
+    return held
+
+
+class TestDepthsHeld:
+    """A query that builds every column of K8 to depth 7 holds about its
+    two deepest powers at once, not all seven: `hamiltonian_paths`, and
+    the column queries where `_fits` fails but the build answers.  K8's
+    powers hold at most 75,600 words (power 7: 40,320 paths and 35,280
+    circuits) and the bound is 2,612,736, so the limit of 100,000 sends
+    them to the full build."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            hamiltonian_paths,
+            lambda g: elementary_paths(g, "v1", "v2", 2, 100_000),
+            lambda g: power_entries(g, 2, 100_000),
+        ],
+        ids=["hamiltonian-path", "paths-k2", "matrix-k2"],
+    )
+    def test_peak_memory(self, query):
+        g = complete_digraph(8)
+        assert not enumeration._fits(g, 100_000)
+        held = sorted(map(_bytes_held, latin_powers(g)))
+        # tracemalloc does not see tuples reused from the interpreter's
+        # free lists, so the query runs once first to fill them
+        expected = query(g)
+        tracemalloc.start()
+        try:
+            assert query(g) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two deepest powers and a quarter of the others: holding
+        # every power takes about the sum of all seven
+        assert peak < sum(held[-2:]) + sum(held[:-2]) / 4, (peak, held)
 
 
 class TestCircuitsFromColumnOne:
@@ -877,5 +937,4 @@ class TestGuards:
 
     def test_single_vertex_no_arcs(self):
         g = DirectedGraph(("a",), ())
-        powers = latin_powers(g)
-        assert powers.power(1).rows[0][0].is_zero
+        assert language_power(g, 1).rows[0][0].is_zero
