@@ -154,47 +154,41 @@ def _chunks(head: str, pieces, separator: str, tail: str) -> Iterator[str]:
 
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> Iterator[str]:
     """The answer of an enumeration command, as chunks of text; `items` are
-    index words in canonical order.  JSON is written as text in the layout
-    of `json.dumps(payload, indent=2)`, with names encoded once per vertex;
-    `path_cost` prices each item once and `cost_text` writes its cost."""
+    index words in canonical order, rendered a slice of at most `_BATCH`
+    per chunk by one list comprehension.  JSON is written as text in the
+    layout of `json.dumps(payload, indent=2)`, with names encoded once per
+    vertex; `path_cost` prices each item once and `cost_text` writes its
+    cost."""
     costed = graph.costs is not None
     # items share few totals: each is rendered once
     cost_of = functools.cache(functools.partial(cost_text, graph, as_json=fmt == "json"))
+    starts = range(0, len(items), _BATCH)
     if fmt == "json":
-        quoted = [
-            "        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices
-        ].__getitem__
-
-        def render(w):
-            cost = cost_of(path_cost(graph, w)) if costed else "null"
-            return (
+        quoted = ["        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices]
+        head = json.dumps(query, indent=2).replace("\n", "\n  ")
+        yield '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" if items else "[]")
+        for s in starts:
+            yield (",\n" if s else "") + ",\n".join([
                 '    {\n      "vertices": [\n'
-                + ",\n".join(map(quoted, w))
+                + ",\n".join([quoted[v] for v in w])
                 + '\n      ],\n      "length": '
                 + str(len(w) - 1)
                 + ',\n      "cost": '
-                + cost
+                + (cost_of(path_cost(graph, w)) if costed else "null")
                 + "\n    }"
-            )
-
-        head = json.dumps(query, indent=2).replace("\n", "\n  ")
-        yield from _chunks(
-            '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" if items else "[]"),
-            map(render, items),
-            ",\n",
-            ("\n  ]" if items else "") + ',\n  "count": ' + str(len(items)) + "\n}\n",
-        )
+                for w in items[s : s + _BATCH]
+            ])
+        yield ("\n  ]" if items else "") + ',\n  "count": ' + str(len(items)) + "\n}\n"
     elif not items:
         yield none_text
     else:
-        name = graph.vertices.__getitem__
-        if costed:
-            lines = (
-                "-".join(map(name, w)) + " cost=" + cost_of(path_cost(graph, w)) for w in items
-            )
-        else:
-            lines = ("-".join(map(name, w)) for w in items)
-        yield from _chunks("", lines, "\n", "\n")
+        names = graph.vertices
+        for s in starts:
+            yield "\n".join([
+                "-".join([names[v] for v in w])
+                + (" cost=" + cost_of(path_cost(graph, w)) if costed else "")
+                for w in items[s : s + _BATCH]
+            ]) + "\n"
 
 
 def _dot_quote(text: str) -> str:

@@ -37,7 +37,10 @@ the circuits of a column on read, by the same prepending over the arcs
 language objects per intermediate, and a column is a sparse dict that
 stores only nonempty off-diagonal entries, so a power costs its paths,
 not n^2.  Each entry comes out in canonical order, since m ascends and
-every entry of L^[k-1] is in that order already.
+every entry of L^[k-1] is in that order already.  At depth n-1 a word
+holds every vertex but one, n(n-1)/2 less the sum of its indices, and
+`_depths` prepends that one alone, over its arc into the word, rather
+than testing each arc (i, m) against the word: the same product.
 The generic product over the semiring of distinguished languages stays
 as the executable reference: `latin_matrix` builds L from
 the arcs, `reference_powers` computes its left powers, and the tests
@@ -111,36 +114,50 @@ def _depths(
     every later product, so it is counted into the guard but not stored.
     A self-loop (i, i) closes power 1's circuit at v_i and nothing after,
     since every word of entry (i, j) starts at v_i, so it is counted at
-    power 1 and left out of the arcs prepended over.  The guard counts the
-    words of every target column, paths and circuits, and is checked after
-    each column."""
-    succ = graph.successors
-    into: list[list[tuple[int, Word]]] = [[] for _ in range(graph.n)]
+    power 1 and left out of the arcs prepended over.  At depth n-1 the
+    only v_i a word avoids is the one it misses, every - sum(w).  The
+    guard counts the words of every target column, paths and circuits,
+    and is checked after each column."""
+    succ, arc_cost, n = graph.successors, graph.arc_cost, graph.n
+    heads, every = [(i,) for i in range(n)], n * (n - 1) // 2
+    into: list[list[tuple[int, Word]]] = [[] for _ in range(n)]
     for i, row in enumerate(succ):
-        head = (i,)
         for m in row:
             if m != i:
-                into[m].append((i, head))
+                into[m].append((i, heads[i]))
     loops = sum(j in succ[j] for j in targets)
     columns: SparsePower = [{j: [(j,)]} for j in targets]
     for k in range(1, depth + 1):
         prev, columns, count = columns, [], loops if k == 1 else 0
         for j, before in zip(targets, prev):
             column: dict[int, list[Word]] = {}
-            for m in sorted(before):
-                words = before[m]
-                for i, head in into[m]:
-                    if i == j:
-                        count += len(words)
-                        continue
-                    new = [head + w for w in words if i not in w]
-                    if not new:
-                        continue
-                    count += len(new)
-                    if i in column:
-                        column[i] += new
-                    else:
-                        column[i] = new
+            if k == n - 1:
+                found: list[list[Word]] = [[] for _ in range(n)]
+                for m in sorted(before):
+                    words = before[m]
+                    if m != j and m in arc_cost[j]:
+                        count += len(words)  # circuits
+                    for w in words:
+                        i = every - sum(w)
+                        if m in arc_cost[i]:
+                            found[i].append(heads[i] + w)
+                column = {i: words for i, words in enumerate(found) if words}
+                count += sum(map(len, found))
+            else:
+                for m in sorted(before):
+                    words = before[m]
+                    for i, head in into[m]:
+                        if i == j:
+                            count += len(words)
+                            continue
+                        new = [head + w for w in words if i not in w]
+                        if not new:
+                            continue
+                        count += len(new)
+                        if i in column:
+                            column[i] += new
+                        else:
+                            column[i] = new
             # the running count goes over the limit exactly when the
             # depth's full count does, so stop at the column that crosses it
             if count > word_limit:
@@ -328,7 +345,7 @@ def power_entries(
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
     words of power n-1, every column built to that depth and only the last
-    depth kept."""
+    depth kept, where each word takes the one vertex it misses."""
     graph.check_hamiltonian_paths()
     n = graph.n
     for columns in _depths(graph, range(n), n - 1, word_limit):

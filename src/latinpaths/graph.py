@@ -221,10 +221,12 @@ def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> int:
     if graph.costs is None:
         raise ValueError("graph has no arc costs")
     arc_cost = graph.arc_cost
-    total = 0
+    rest = iter(word)
+    total, i = 0, next(rest, None)
     try:
-        for i, j in zip(word, word[1:]):
+        for j in rest:
             total += arc_cost[i][j]
+            i = j
     except KeyError:
         names = graph.vertices
         raise PathError(f"({names[i]}, {names[j]}) is not an arc of the graph") from None

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinpaths import bruteforce, enumeration
-from latinpaths.cli import _emit_result, _run_words, build_parser, main
+from latinpaths.cli import _BATCH, _emit_result, _run_words, build_parser, main
 from latinpaths.enumeration import WordLimitError, latin_powers
 from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
 from latinpaths.words import Alphabet, enumerate_distinguished
@@ -1191,6 +1191,48 @@ class TestEmitter:
         chunks = list(_emit_result(graph, query, items, "text", ""))
         assert len(chunks) > 3
         assert "".join(chunks) == "".join(lines)
+
+    @pytest.mark.parametrize("costs", ["decimal", None])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_batch_edges(self, costs, extra):
+        """Exactly `_BATCH` and `_BATCH + 1` walks on the complete digraph
+        with self-loops on a, b, c are one and two chunks of items; joined,
+        text and JSON are those of one dump.  The decimal costs give totals
+        written both as a float's repr and as an exact decimal."""
+        names = ("a", "b", "c")
+        arcs = tuple((u, v) for u in names for v in names)
+        weights = (0.1, 0.2, 1e16, 2.5, 0.3, -0.5, 1e-07, 4.0, 3.0)
+        graph = DirectedGraph(names, arcs, weights if costs else None)
+        items = list(itertools.product(range(3), repeat=7))[: _BATCH + extra]
+        paths = [[names[i] for i in w] for w in items]
+        query = {"command": "paths", "source": "a", "target": "c", "length": 6}
+        exact = [_named_cost(graph, p) if costs else None for p in paths]
+        if costs:
+            as_repr = [Fraction(repr(float(c))) == c for c in exact]
+            assert any(as_repr) and not all(as_repr)
+        for fmt in ("text", "json"):
+            chunks = list(_emit_result(graph, query, items, fmt, ""))
+            # one chunk per batch of items, between JSON's head and tail
+            assert len(chunks) == {"text": 1, "json": 3}[fmt] + extra, fmt
+            if fmt == "json":
+                # each cost's text takes the place of a marker string
+                payload = {
+                    "query": query,
+                    "items": [
+                        _item_json(p, None if c is None else f"@cost{k}@")
+                        for k, (p, c) in enumerate(zip(paths, exact))
+                    ],
+                    "count": len(items),
+                }
+                expected = json.dumps(payload, indent=2) + "\n"
+                for k, c in enumerate(exact if costs else ()):
+                    expected = expected.replace(f'"@cost{k}@"', _cost_text(c, True), 1)
+            else:
+                expected = "".join(
+                    "-".join(p) + ("" if c is None else " cost=" + _cost_text(c, False)) + "\n"
+                    for p, c in zip(paths, exact)
+                )
+            assert "".join(chunks) == expected, fmt
 
     def test_json_is_never_held_whole(self):
         """K8's 40,320 Hamiltonian paths come to 7.7 MB of JSON; drained a

@@ -897,6 +897,104 @@ class TestCircuitsFromColumnOne:
         assert peaks[0] < peaks[1] / 2, peaks
 
 
+
+def _refused_at(counts, limit):
+    """The first power, from 1, whose word count is over `limit`, or None."""
+    return next((k for k, c in enumerate(counts, start=1) if c > limit), None)
+
+
+def assert_last_depth_matches_reference(g):
+    """Depth n-1 of `_depths`, where each word of depth n-2 takes the one
+    vertex it misses, against the reference's power n-1: every column, and
+    column 1 built alone, hold the reference's paths.  At the limits c - 1
+    and c, c the count of power n-1 over the columns a query builds (its
+    paths and circuits), `hamiltonian_paths`, `hamiltonian_circuits`
+    (column 1, then power n) and `elementary_paths` at k = n-1 are refused
+    at the first power over the limit, power n-1 itself at c - 1 where no
+    earlier power is over, and otherwise answer with the reference's
+    words."""
+    n = g.n
+    if n < 2:
+        return
+    reference = reference_powers(g)
+    last = reference[n - 2]
+    expected = [
+        {
+            i: sorted(w.indices for w in last.rows[i][j].words)
+            for i in range(n)
+            if i != j and last.rows[i][j].words
+        }
+        for j in range(n)
+    ]
+    *_, columns = enumeration._depths(g, range(n), n - 1, sys.maxsize)
+    assert columns == expected, g
+    *_, (column,) = enumeration._depths(g, (0,), n - 1, sys.maxsize)
+    assert column == expected[0], g
+
+    every = [sum(len(e.words) for row in p.rows for e in row) for p in reference[: n - 1]]
+    first = [sum(len(row[0].words) for row in p.rows) for p in reference[: n - 1]]
+    circuits = sorted(w.indices for i in range(n) for w in reference[-1].rows[i][i].words)
+    names = g.vertices
+    queries = [
+        (hamiltonian_paths, every, sorted(w for c in expected for ws in c.values() for w in ws)),
+        (hamiltonian_circuits, [*first, len(circuits)], circuits),
+    ]
+    queries += [
+        (
+            lambda g, limit, u=u, v=v: elementary_paths(g, names[u], names[v], n - 1, limit),
+            every,
+            tuple(expected[v].get(u, ())),
+        )
+        for u in range(n)
+        for v in range(n)
+        if u != v
+    ]
+    for query, counts, answer in queries:
+        for limit in (counts[n - 2] - 1, counts[n - 2]):
+            if limit < 0:
+                continue
+            over = _refused_at(counts, limit)
+            if over is None:
+                assert query(g, limit) == answer, (g, limit)
+            else:
+                with pytest.raises(WordLimitError) as exc:
+                    query(g, limit)
+                assert exc.value.k == over, (g, limit, counts)
+
+
+class TestLastDepth:
+    """The last-depth rule of `_depths` against the reference powers, on
+    the paths it keeps and the words its guard counts."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complete_digraphs(self, n):
+        g = complete_digraph(n)
+        counts = [sum(stored_words(p)) for p in reference_powers(g)[: n - 1]]
+        # power n-1 holds the most words, so at one less it is refused itself
+        assert _refused_at(counts, counts[-1] - 1) == n - 1
+        assert_last_depth_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "names, arcs",
+        [
+            ("ab", ("aa", "ab", "ba", "bb")),
+            ("ab", ("aa", "ab")),
+            ("ab", ("ab", "bb")),
+            ("ab", ("aa", "bb")),
+            ("abc", tuple(u + v for u in "abc" for v in "abc")),
+            ("abc", ("aa", "ab", "bc", "cc", "ca")),
+            ("abc", ("bb", "ba", "ac", "cb")),
+        ],
+    )
+    def test_small_graphs_with_self_loops(self, names, arcs):
+        assert_last_depth_matches_reference(DirectedGraph(tuple(names), tuple(map(tuple, arcs))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_loops(6))
+    def test_random_graphs_with_loops(self, g):
+        assert_last_depth_matches_reference(g)
+
+
 def test_sparse_chain_powers():
     # A chain's powers hold n - k words each; a dense n x n grid per power
     # would cost O(n^3), about 280 MB at n = 180.

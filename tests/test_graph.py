@@ -339,6 +339,26 @@ class TestPathCost:
         with pytest.raises(PathError, match=r"^\(3, 1\) is not an arc"):
             path_cost(five_vertex_graph, word_of(five_vertex_graph, "4-5-3-1"))
 
+    def test_contract(self, four_vertex_graph):
+        """The empty word and a one-vertex word price 0, the first missing
+        arc of a word is the one named, wherever it falls, and a graph
+        without costs is refused whatever the word."""
+        g = DirectedGraph(tuple("abc"), (("a", "b"), ("b", "c"), ("c", "c")), (1.5, 2, 0.25))
+        assert path_cost(g, ()) == 0
+        assert [path_cost(g, (i,)) for i in range(3)] == [0, 0, 0]
+        assert (path_cost(g, (0, 1, 2, 2)), g.denominator) == (375, 100)
+        for word, arc in [
+            ((1, 0), "(b, a)"),
+            ((0, 1, 0, 2), "(b, a)"),
+            ((0, 1, 2, 1), "(c, b)"),
+            ((0, 0, 1, 0), "(a, a)"),
+        ]:
+            with pytest.raises(PathError, match=rf"^{re.escape(arc)} is not an arc of the graph$"):
+                path_cost(g, word)
+        for word in [(), (0,), (0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="^graph has no arc costs$"):
+                path_cost(four_vertex_graph, word)
+
     def test_exact_in_any_order(self):
         # in floats, (0.1 + 0.2) + 0.3 is 0.6000000000000001 and a
         # compensated sum gives 0.6
