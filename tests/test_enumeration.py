@@ -897,7 +897,6 @@ class TestCircuitsFromColumnOne:
         assert peaks[0] < peaks[1] / 2, peaks
 
 
-
 def _refused_at(counts, limit):
     """The first power, from 1, whose word count is over `limit`, or None."""
     return next((k for k, c in enumerate(counts, start=1) if c > limit), None)
@@ -931,7 +930,7 @@ def assert_last_depth_matches_reference(g):
     *_, (column,) = enumeration._depths(g, (0,), n - 1, sys.maxsize)
     assert column == expected[0], g
 
-    every = [sum(len(e.words) for row in p.rows for e in row) for p in reference[: n - 1]]
+    every = [sum(stored_words(p)) for p in reference[: n - 1]]
     first = [sum(len(row[0].words) for row in p.rows) for p in reference[: n - 1]]
     circuits = sorted(w.indices for i in range(n) for w in reference[-1].rows[i][i].words)
     names = g.vertices
