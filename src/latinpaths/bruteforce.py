@@ -5,8 +5,9 @@ the graph module: results produced here are used as independent ground truth
 in the test suite and behind the CLI's --engine oracle flag.  Its queries
 check their arguments by the graph's rules, as the kernel's queries do, so
 both engines refuse bad arguments with the same message.  Every
-enumeration answers, as the kernel's queries do, with index words (tuples
-of vertex indices) in canonical order, which is tuple order.  One walk,
+enumeration answers, as the kernel's queries do, with words (strings whose
+code points are vertex indices, `graph.Word`) in canonical order, which is
+code-point order.  One walk,
 `_simple_paths`, lists the simple paths of exactly k arcs from a source,
 already in that order: paths keep those that end at the target, circuits
 close the paths of k - 1 arcs over an arc back to the source, and
@@ -17,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, VertexPath
+from .graph import DirectedGraph, VertexPath, Word
 
 
 @dataclass(frozen=True, slots=True)
 class EnumerationResult:
     """The answer of `dfs_elementary_paths` or `dfs_elementary_circuits`."""
 
-    words: tuple[tuple[int, ...], ...]  # canonical order
+    words: tuple[Word, ...]  # canonical order
     vertices: tuple[str, ...]  # the graph's, to decode `words`
 
     @property
@@ -32,18 +33,20 @@ class EnumerationResult:
         """`words` decoded to names.  Only `bench/run.py::matrix_output`
         reads it; it goes once the benchmark reads `words`."""
         name = self.vertices.__getitem__
-        return tuple(VertexPath(tuple(map(name, w))) for w in self.words)
+        return tuple(VertexPath(tuple(map(name, map(ord, w)))) for w in self.words)
 
 
 def _simple_paths(graph: DirectedGraph, source: int, k: int):
-    """Yield every simple path of exactly k arcs from source, as a tuple of
-    vertex indices.  The walk starts from the one-vertex word (source,),
-    its whole answer at k = 0, and extends it depth first with successors
-    ascending, so the paths come out in canonical order.  It keeps its own
-    stack, so no recursion limit bounds its depth."""
+    """Yield every simple path of exactly k arcs from source, as a word.
+    The walk starts from the one-vertex word of source, its whole answer
+    at k = 0, and extends it depth first with successors ascending, so the
+    paths come out in canonical order.  It keeps its own stack, so no
+    recursion limit bounds its depth, and a stack of the words it extends,
+    so each word is one concatenation."""
     succ = graph.successors
     path: list[int] = []
     on_path = [False] * graph.n
+    words = [""]  # words[d]: the first d vertices of the path
     stack = [iter((source,))]  # stack[d]: the untried candidates for path[d]
     while stack:
         for nxt in stack[-1]:
@@ -51,15 +54,17 @@ def _simple_paths(graph: DirectedGraph, source: int, k: int):
                 break
         else:
             stack.pop()
-            if path:  # stack[0], the start (source,), has no vertex to step back from
+            words.pop()
+            if path:  # stack[0], the start, has no vertex to step back from
                 on_path[path.pop()] = False
             continue
-        path.append(nxt)
-        if len(path) > k:
-            yield tuple(path)
-            path.pop()
+        word = words[-1] + chr(nxt)
+        if len(word) > k:
+            yield word
         else:
             on_path[nxt] = True
+            path.append(nxt)
+            words.append(word)
             stack.append(iter(succ[nxt]))
 
 
@@ -67,15 +72,16 @@ def dfs_elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int
 ) -> EnumerationResult:
     s, t = graph.path_ends(source, target, k)
+    end = chr(t)
     return EnumerationResult(
-        tuple(p for p in _simple_paths(graph, s, k) if p[-1] == t), graph.vertices
+        tuple(p for p in _simple_paths(graph, s, k) if p[-1] == end), graph.vertices
     )
 
 
 def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> EnumerationResult:
     s = graph.circuit_start(start, k)
     succ = graph.successors
-    hits = (p + (s,) for p in _simple_paths(graph, s, k - 1) if s in succ[p[-1]])
+    hits = (p + p[0] for p in _simple_paths(graph, s, k - 1) if s in succ[ord(p[-1])])
     return EnumerationResult(tuple(hits), graph.vertices)
 
 
@@ -96,26 +102,27 @@ def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) 
 
 def enumerate_all_elementary(
     graph: DirectedGraph,
-) -> dict[tuple[int, int, int], set[tuple[int, ...]]]:
-    """Every elementary path and anchored circuit in one sweep, as index
-    words keyed by (source index, target index, arc-length), arc-length 0
+) -> dict[tuple[int, int, int], set[Word]]:
+    """Every elementary path and anchored circuit in one sweep, as words
+    keyed by (source index, target index, arc-length), arc-length 0
     included: the one-vertex word.  One walk per source vertex and
     arc-length below n; each path of k arcs that an arc closes back to its
     source gives the circuit of k + 1 arcs."""
     succ = graph.successors
-    out: dict[tuple[int, int, int], set[tuple[int, ...]]] = {}
+    out: dict[tuple[int, int, int], set[Word]] = {}
     for s in range(graph.n):
         for k in range(graph.n):
             for p in _simple_paths(graph, s, k):
-                out.setdefault((s, p[-1], k), set()).add(p)
-                if s in succ[p[-1]]:
-                    out.setdefault((s, s, k + 1), set()).add(p + (s,))
+                t = ord(p[-1])
+                out.setdefault((s, t, k), set()).add(p)
+                if s in succ[t]:
+                    out.setdefault((s, s, k + 1), set()).add(p + p[0])
     return out
 
 
-def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[tuple[int, ...]]:
+def dfs_hamiltonian(graph: DirectedGraph, kind: str) -> list[Word]:
     """Every Hamiltonian path (kind "path", arc-length n-1) or circuit (kind
-    "circuit", arc-length n) as index words in canonical order: paths by a
+    "circuit", arc-length n) as words in canonical order: paths by a
     walk of n-1 arcs from each source, circuits closed at n by
     dfs_elementary_circuits from each start."""
     n = graph.n

@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from . import bruteforce, enumeration
 from .graph import (
@@ -152,25 +152,32 @@ def _chunks(head: str, pieces, separator: str, tail: str) -> Iterator[str]:
     yield tail
 
 
+def _letter_names(names) -> Callable[[str], str]:
+    """The text of each letter chr(i) of a word: names[i]."""
+    return dict(zip(map(chr, range(len(names))), names)).__getitem__
+
+
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> Iterator[str]:
     """The answer of an enumeration command, as chunks of text; `items` are
-    index words in canonical order, rendered a slice of at most `_BATCH`
-    per chunk by one list comprehension.  JSON is written as text in the
-    layout of `json.dumps(payload, indent=2)`, with names encoded once per
-    vertex; `path_cost` prices each item once and `cost_text` writes its
-    cost."""
+    words in canonical order, rendered a slice of at most `_BATCH` per
+    chunk by one list comprehension, with names looked up per letter.
+    JSON is written as text in the layout of `json.dumps(payload,
+    indent=2)`, with names encoded once per vertex; `path_cost` prices each
+    item once and `cost_text` writes its cost."""
     costed = graph.costs is not None
     # items share few totals: each is rendered once
     cost_of = functools.cache(functools.partial(cost_text, graph, as_json=fmt == "json"))
     starts = range(0, len(items), _BATCH)
     if fmt == "json":
-        quoted = ["        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices]
+        quoted = _letter_names(
+            ["        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices]
+        )
         head = json.dumps(query, indent=2).replace("\n", "\n  ")
         yield '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" if items else "[]")
         for s in starts:
             yield (",\n" if s else "") + ",\n".join([
                 '    {\n      "vertices": [\n'
-                + ",\n".join([quoted[v] for v in w])
+                + ",\n".join(map(quoted, w))
                 + '\n      ],\n      "length": '
                 + str(len(w) - 1)
                 + ',\n      "cost": '
@@ -182,10 +189,10 @@ def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> Iterato
     elif not items:
         yield none_text
     else:
-        names = graph.vertices
+        name = _letter_names(graph.vertices)
         for s in starts:
             yield "\n".join([
-                "-".join([names[v] for v in w])
+                "-".join(map(name, w))
                 + (" cost=" + cost_of(path_cost(graph, w)) if costed else "")
                 for w in items[s : s + _BATCH]
             ]) + "\n"
@@ -208,7 +215,7 @@ def _write_dot(path: str, graph: DirectedGraph, items):
         cost = graph.arc_cost[index[u]][index[v]]
         if cost is not None:
             attrs.append(f"label={_dot_quote(cost_text(graph, cost))}")
-        if (index[u], index[v]) in highlighted:
+        if (chr(index[u]), chr(index[v])) in highlighted:
             attrs.append('color="red"')
             attrs.append("penwidth=2")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
@@ -236,7 +243,7 @@ _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 
 # Commands that answer with a list of paths: (lcdl call, oracle call, query
 # fields as (JSON key, argument name) pairs, text output when nothing is
-# found).  Both calls return the paths as index words in canonical order.
+# found).  Both calls return the paths as words in canonical order.
 _ENUMERATIONS = {
     "paths": (
         lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, a.limit),
@@ -302,11 +309,11 @@ def _run_count(args) -> list[str]:
     return [f"{value}\n"]
 
 
-def _render_entry(graph: DirectedGraph, words) -> str:
-    """One entry of the `matrix` table: its index words, in canonical order."""
+def _render_entry(name: Callable[[str], str], words) -> str:
+    """One entry of the `matrix` table: its words, in canonical order, each
+    letter written as `name` gives it."""
     if not words:
         return EMPTY_RENDERING
-    name = graph.vertices.__getitem__
     return "{" + ", ".join("-".join(map(name, w)) for w in words) + "}"
 
 
@@ -326,7 +333,8 @@ def _run_matrix(args) -> Iterator[str]:
         ]
     else:
         entries = enumeration.power_entries(graph, k, args.limit)
-    rendered = [[_render_entry(graph, words) for words in row] for row in entries]
+    name = _letter_names(names)
+    rendered = [[_render_entry(name, words) for words in row] for row in entries]
     if args.format == "json":
         # the layout of json.dumps(payload, indent=2), a row at a time
         head = json.dumps({"command": "matrix", "k": k}, indent=2).replace("\n", "\n  ")

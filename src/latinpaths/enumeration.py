@@ -13,10 +13,11 @@ closes.  The other queries build only the columns and depths they read
 (`_columns`) where `_fits` proves that no power 1..n-1 goes over the
 limit, and elsewhere build every column to depth n-1 and keep the ones
 they read, so they are refused exactly where powers 1..n-1 are.  Each
-query reads its words straight off what it built, as sorted index words
-(`Word`), and builds no object per answer: names and costs are looked up
-per vertex index only when the CLI writes the answer.  Nothing is cached
-across calls.
+query reads its words straight off what it built, as sorted words
+(`Word`: a string whose code points are vertex indices, chr(i) for v_i,
+so that code-point order is canonical order), and builds no object per
+answer: names and costs are looked up per letter only when the CLI writes
+the answer.  Nothing is cached across calls.
 
 One kernel, `_depths`, is specialised to the left recurrence
 L^[k] = L (x) L^[k-1], the latin multiplication of Kaufmann and Malgrange.
@@ -33,20 +34,19 @@ and absorbs in every later product, so the kernel counts the circuits of
 each column into the explosion guard but stores none: the guard counts
 every word of the columns built, paths and circuits, and `_close` builds
 the circuits of a column on read, by the same prepending over the arcs
-(j, m).  A word is the bare tuple of its vertex indices, with no word or
-language objects per intermediate, and a column is a sparse dict that
-stores only nonempty off-diagonal entries, so a power costs its paths,
-not n^2.  Each entry comes out in canonical order, since m ascends and
-every entry of L^[k-1] is in that order already.  At depth n-1 a word
-holds every vertex but one, n(n-1)/2 less the sum of its indices, and
-`_depths` prepends that one alone, over its arc into the word, rather
-than testing each arc (i, m) against the word: the same product.
-The generic product over the semiring of distinguished languages stays
-as the executable reference: `latin_matrix` builds L from
-the arcs, `reference_powers` computes its left powers, and the tests
-compare them with the kernel's entries (`power_entries`) rebuilt as
-languages (`_language_matrix`).  The `matrix` command reads every entry of
-one power (`power_entries`).
+(j, m).  A word is a bare string over the alphabet of vertices, with no
+word or language objects per intermediate: "avoids v_i" is a scan of the
+string for chr(i), a prepend is one concatenation, and a sort compares
+code points.  A column is a sparse dict that stores only nonempty
+off-diagonal entries, so a power costs its paths, not n^2.  Each entry
+comes out in canonical order, since m ascends and every entry of L^[k-1]
+is in that order already.  The generic product over the semiring of
+distinguished languages stays as the executable reference: `latin_matrix`
+builds L from the arcs, `reference_powers` computes its left powers, and
+the tests compare them with the kernel's entries (`power_entries`)
+rebuilt as languages (`_language_matrix`, which reads each letter back
+with `ord`).  The `matrix` command reads every entry of one power
+(`power_entries`).
 `count_paths` reads entry (i, j) of A^k, A the adjacency matrix over
 the naturals, by one of two exact evaluations: k steps of column j of the
 left recurrence, about k m additions for m arcs, or binary powers of A,
@@ -75,7 +75,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from operator import le, mul
 
-from .graph import DirectedGraph, VertexPath, path_cost
+from .graph import DirectedGraph, VertexPath, Word, path_cost
 from .languages import DistinguishedLanguage
 from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
 from .words import Alphabet, DistinguishedWord
@@ -91,10 +91,6 @@ class WordLimitError(RuntimeError):
         super().__init__(f"latin power {k} holds more words than the limit of {limit}")
         self.k = k
 
-
-# One word of a latin power: its vertex indices.  Diagonal entries hold
-# circuits, whose first index is repeated at the end.
-Word = tuple[int, ...]
 
 # The paths of some columns of one latin power: per column j, the nonempty
 # entries (i, j), i != j, as i -> their words in canonical order.
@@ -114,50 +110,35 @@ def _depths(
     every later product, so it is counted into the guard but not stored.
     A self-loop (i, i) closes power 1's circuit at v_i and nothing after,
     since every word of entry (i, j) starts at v_i, so it is counted at
-    power 1 and left out of the arcs prepended over.  At depth n-1 the
-    only v_i a word avoids is the one it misses, every - sum(w).  The
-    guard counts the words of every target column, paths and circuits,
-    and is checked after each column."""
-    succ, arc_cost, n = graph.successors, graph.arc_cost, graph.n
-    heads, every = [(i,) for i in range(n)], n * (n - 1) // 2
-    into: list[list[tuple[int, Word]]] = [[] for _ in range(n)]
+    power 1 and left out of the arcs prepended over.  The guard counts the
+    words of every target column, paths and circuits, and is checked after
+    each column."""
+    succ = graph.successors
+    into: list[list[tuple[int, Word]]] = [[] for _ in succ]
     for i, row in enumerate(succ):
         for m in row:
             if m != i:
-                into[m].append((i, heads[i]))
+                into[m].append((i, chr(i)))
     loops = sum(j in succ[j] for j in targets)
-    columns: SparsePower = [{j: [(j,)]} for j in targets]
+    columns: SparsePower = [{j: [chr(j)]} for j in targets]
     for k in range(1, depth + 1):
         prev, columns, count = columns, [], loops if k == 1 else 0
         for j, before in zip(targets, prev):
             column: dict[int, list[Word]] = {}
-            if k == n - 1:
-                found: list[list[Word]] = [[] for _ in range(n)]
-                for m in sorted(before):
-                    words = before[m]
-                    if m != j and m in arc_cost[j]:
-                        count += len(words)  # circuits
-                    for w in words:
-                        i = every - sum(w)
-                        if m in arc_cost[i]:
-                            found[i].append(heads[i] + w)
-                column = {i: words for i, words in enumerate(found) if words}
-                count += sum(map(len, found))
-            else:
-                for m in sorted(before):
-                    words = before[m]
-                    for i, head in into[m]:
-                        if i == j:
-                            count += len(words)
-                            continue
-                        new = [head + w for w in words if i not in w]
-                        if not new:
-                            continue
-                        count += len(new)
-                        if i in column:
-                            column[i] += new
-                        else:
-                            column[i] = new
+            for m in sorted(before):
+                words = before[m]
+                for i, head in into[m]:
+                    if i == j:
+                        count += len(words)
+                        continue
+                    new = [head + w for w in words if head not in w]
+                    if not new:
+                        continue
+                    count += len(new)
+                    if i in column:
+                        column[i] += new
+                    else:
+                        column[i] = new
             # the running count goes over the limit exactly when the
             # depth's full count does, so stop at the column that crosses it
             if count > word_limit:
@@ -170,7 +151,7 @@ def _close(j: int, graph: DirectedGraph, column: dict[int, list[Word]]) -> list[
     """The circuits through v_j that column j of a power closes over the
     arcs (j, m), m ascending: v_j prepended to the words of each entry
     (m, j), in canonical order."""
-    head = (j,)
+    head = chr(j)
     return [head + w for m in graph.successors[j] for w in column.get(m, ())]
 
 
@@ -238,15 +219,16 @@ def _columns(
 
 def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
     """Kernel words as a matrix of distinguished languages: rows[i][j]
-    holds the index words of entry (i, j), simple words off the diagonal
-    and simple cyclic words on it."""
+    holds the words of entry (i, j), simple words off the diagonal and
+    simple cyclic words on it."""
     alphabet = Alphabet(vertices)
     return SemiringMatrix(
         language_semiring(alphabet),
         tuple(
             tuple(
                 DistinguishedLanguage(
-                    alphabet, frozenset(map(DistinguishedWord.from_indices, words))
+                    alphabet,
+                    frozenset(DistinguishedWord.from_indices(tuple(map(ord, w))) for w in words),
                 )
                 for words in row
             )
@@ -268,7 +250,7 @@ def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
     rows: list[list[list[Word]]] = [[[] for _ in graph.vertices] for _ in graph.vertices]
     for u, v in graph.arcs:
         i, j = index[u], index[v]
-        rows[i][j].append((i, j))
+        rows[i][j].append(chr(i) + chr(j))
     return _language_matrix(graph.vertices, rows)
 
 
@@ -297,9 +279,9 @@ def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
 def elementary_paths(
     graph: DirectedGraph, source: str, target: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
-    """The elementary paths of arc-length k from source to target, as index
-    words in canonical order: entry (source, target) of column target at
-    depth k."""
+    """The elementary paths of arc-length k from source to target, as words
+    in canonical order: entry (source, target) of column target at depth
+    k."""
     i, j = graph.path_ends(source, target, k)
     for (column,) in _columns(graph, (j,), k, word_limit):
         pass
@@ -310,9 +292,9 @@ def elementary_circuits(
     graph: DirectedGraph, start: str, k: int, word_limit: int = DEFAULT_WORD_LIMIT
 ) -> tuple[Word, ...]:
     """The elementary circuits of arc-length k through start, anchored there,
-    as index words in canonical order: column start at depth k-1, closed."""
+    as words in canonical order: column start at depth k-1, closed."""
     i = graph.circuit_start(start, k)
-    column = {i: [(i,)]}  # power 0's column
+    column = {i: [chr(i)]}  # power 0's column
     for (column,) in _columns(graph, (i,), k - 1, word_limit):
         pass
     return tuple(_close(i, graph, column))
@@ -328,7 +310,7 @@ def power_entries(
     diagonal is closed from depth k-1 into fresh lists."""
     graph.check_power(k)
     n = graph.n
-    before = [{j: [(j,)]} for j in range(n)]  # power 0's columns
+    before = [{j: [chr(j)]} for j in range(n)]  # power 0's columns
     at: SparsePower = [{}] * n
     depths = _columns(graph, range(n), min(k, n - 1), word_limit)
     for depth, columns in enumerate(depths, start=1):
@@ -345,7 +327,7 @@ def power_entries(
 def hamiltonian_paths(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LIMIT) -> list[Word]:
     """Every elementary path of arc-length n-1, in canonical order: the
     words of power n-1, every column built to that depth and only the last
-    depth kept, where each word takes the one vertex it misses."""
+    depth kept."""
     graph.check_hamiltonian_paths()
     n = graph.n
     for columns in _depths(graph, range(n), n - 1, word_limit):
@@ -371,13 +353,16 @@ def hamiltonian_circuits(graph: DirectedGraph, word_limit: int = DEFAULT_WORD_LI
     each circuit as power n, whose diagonal they are."""
     n = graph.n
     # power 0's column 1; a one-vertex circuit is a self-loop, closed over it
-    column = {0: [(0,)]}
+    column = {0: ["\0"]}
     for (column,) in _depths(graph, (0,), n - 1, word_limit):
         pass
     anchored = _close(0, graph, column)
     if n * len(anchored) > word_limit:
         raise WordLimitError(n, word_limit)
-    return anchored + sorted(w[r:] + w[1 : r + 1] for w in anchored for r in range(1, n))
+    # rotation r of w = c_0 ... c_{n-1} c_0 is the n + 1 letters from c_r of
+    # c_0 ... c_{n-1} w
+    doubled = [w[:-1] + w for w in anchored]
+    return anchored + sorted([d[r : r + n + 1] for d in doubled for r in range(1, n)])
 
 
 def hamiltonian(
@@ -403,7 +388,7 @@ def max_length_elementary(
     j = i if target is None else graph.index(target)
     n = graph.n
     # column j at depths 0..n-1, power 0's the word of v_j alone
-    column = [{j: [(j,)]}, *(c for (c,) in _columns(graph, (j,), n - 1, word_limit))]
+    column = [{j: [chr(j)]}, *(c for (c,) in _columns(graph, (j,), n - 1, word_limit))]
     for k in range(n if i == j else n - 1, 0, -1):
         words = _close(i, graph, column[k - 1]) if i == j else column[k].get(i)
         if words:
@@ -500,14 +485,15 @@ def optimal_hamiltonian(
     (kind "path") or circuit ("circuit") among those that start at `start`
     and end at `end` (a circuit ends where it starts), with its cost as
     `path_cost` gives it; None when there is none.  The candidates are
-    `candidates(graph, kind)`, index words in canonical order
+    `candidates(graph, kind)`, words in canonical order
     (`hamiltonian`, or the oracle's `dfs_hamiltonian`), listed only once the
     arguments are checked.  Costs compare exactly; ties go to the first
     candidate in canonical order."""
     sign, s, t = _selection(graph, kind, objective, start, end)
+    first, last = (None if i is None else chr(i) for i in (s, t))
     kept = (
         w for w in candidates(graph, kind)
-        if (s is None or w[0] == s) and (t is None or w[-1] == t)
+        if (first is None or w[0] == first) and (last is None or w[-1] == last)
     )
     # min returns the first smallest item
     best = min(kept, key=lambda w: sign * path_cost(graph, w), default=None)
@@ -591,4 +577,4 @@ def held_karp(
     for layer in reversed(layers):
         m, mask = layer[mask][m], mask ^ 1 << m
         word.append(m)
-    return tuple(word), sign * cost
+    return "".join(map(chr, word)), sign * cost

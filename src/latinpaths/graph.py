@@ -3,6 +3,11 @@
 The edge-list text format: comment lines start with '#'; the first
 non-comment line is "vertices: v1 v2 ... vn"; every following line is
 "u v" or "u v cost".  Vertex declaration order fixes matrix indices.
+
+A word (`Word`) is a path or circuit as a string over the alphabet of
+vertices: its t-th code point is the index of its t-th vertex, `chr(i)`
+for v_i.  Code-point order is the order of the index tuples, so sorted
+words are in canonical order.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ from decimal import Decimal, InvalidOperation
 
 # A byte that is not UTF-8, as decoding with errors="surrogateescape" leaves it
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+# One code point per vertex: chr() stops at 0x10FFFF
+MAX_VERTICES = 0x110000
+Word = str
 
 
 class GraphParseError(ValueError):
@@ -41,12 +50,18 @@ class DirectedGraph:
     # each successor index j -> the cost of arc (v_i, v_j), exactly, as an
     # integer number of 1/denominator, in arc order (None on a graph without
     # costs); and denominator, the least power of ten that makes costs whole.
+    # letter_cost, where pricing a word starts (None without costs), maps each
+    # letter chr(i) to 0 and the row of v_i: chr(j) -> the cost of arc
+    # (v_i, v_j) and the row of v_j, one dict lookup per letter of a word.
     vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     arc_cost: tuple[dict[int, int | None], ...] = field(init=False, repr=False, compare=False)
+    letter_cost: dict[str, dict] | None = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.vertices) > MAX_VERTICES:
+            raise ValueError(f"more than {MAX_VERTICES} vertices")
         vertex_index = {v: i for i, v in enumerate(self.vertices)}
         if len(vertex_index) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
@@ -70,9 +85,17 @@ class DirectedGraph:
             if j in row:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             row[j] = cost
+        letter_cost = None
+        if self.costs is not None:
+            rows: list[dict] = [{} for _ in arc_cost]
+            for out, row in zip(rows, arc_cost):
+                for j, cost in row.items():
+                    out[chr(j)] = cost, rows[j]
+            letter_cost = {chr(i): (0, row) for i, row in enumerate(rows)}
         object.__setattr__(self, "vertex_index", vertex_index)
         object.__setattr__(self, "successors", tuple(tuple(sorted(row)) for row in arc_cost))
         object.__setattr__(self, "arc_cost", arc_cost)
+        object.__setattr__(self, "letter_cost", letter_cost)
         object.__setattr__(self, "denominator", denominator)
 
     @property
@@ -153,6 +176,8 @@ def parse_graph(text: str) -> DirectedGraph:
             names = line[len("vertices:"):].split()
             if not names:
                 raise GraphParseError(line_no, "vertex list is empty")
+            if len(names) > MAX_VERTICES:
+                raise GraphParseError(line_no, f"more than {MAX_VERTICES} vertices")
             declared = set(names)
             if len(declared) != len(names):
                 raise GraphParseError(line_no, "duplicate vertex name")
@@ -215,21 +240,24 @@ def serialize_graph(graph: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def path_cost(graph: DirectedGraph, word: tuple[int, ...]) -> int:
-    """The exact cost of an index word: the sum of the arc costs along it,
-    as an integer number of 1/graph.denominator."""
-    if graph.costs is None:
+def path_cost(graph: DirectedGraph, word: Word) -> int:
+    """The exact cost of a word: the sum of the arc costs along it, as an
+    integer number of 1/graph.denominator, read through `letter_cost`."""
+    row = graph.letter_cost
+    if row is None:
         raise ValueError("graph has no arc costs")
-    arc_cost = graph.arc_cost
-    rest = iter(word)
-    total, i = 0, next(rest, None)
+    total = 0
     try:
-        for j in rest:
-            total += arc_cost[i][j]
-            i = j
+        for j in word:
+            cost, row = row[j]
+            total += cost
     except KeyError:
-        names = graph.vertices
-        raise PathError(f"({names[i]}, {names[j]}) is not an arc of the graph") from None
+        # a plain loop: a generator here would hold a local in a cell on every call
+        for i, j in zip(word, word[1:]):
+            if j not in graph.letter_cost[i][1]:
+                u, v = graph.vertices[ord(i)], graph.vertices[ord(j)]
+                raise PathError(f"({u}, {v}) is not an arc of the graph") from None
+        raise
     return total
 
 

@@ -59,14 +59,20 @@ def five_vertex_graph():
     return parse_graph(FIVE_VERTEX_TEXT)
 
 
+def as_word(indices) -> str:
+    """The word of a sequence of vertex indices: chr(i) per index i, so
+    that a literal such as (0, 1, 2) can stand for the word of v1 v2 v3."""
+    return "".join(map(chr, indices))
+
+
 def rendered_words(graph: DirectedGraph, words) -> list[str]:
-    """Index words as path texts, "v1-v2-v3", in the order given."""
-    return ["-".join(graph.vertices[i] for i in w) for w in words]
+    """Words as path texts, "v1-v2-v3", in the order given."""
+    return ["-".join(graph.vertices[ord(c)] for c in w) for w in words]
 
 
-def word_of(graph: DirectedGraph, text: str) -> tuple[int, ...]:
-    """The index word of the path written `text`, "v1-v2-v3"."""
-    return tuple(graph.vertices.index(v) for v in text.split("-"))
+def word_of(graph: DirectedGraph, text: str) -> str:
+    """The word of the path written `text`, "v1-v2-v3"."""
+    return as_word(graph.vertices.index(v) for v in text.split("-"))
 
 
 def kernel_entries(graph: DirectedGraph) -> list:

@@ -43,7 +43,14 @@ from latinpaths.words import (
     word_from_symbols,
 )
 
-from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, language_power, rendered_words, word_of
+from conftest import (
+    FIVE_VERTEX_TEXT,
+    FOUR_VERTEX_TEXT,
+    as_word,
+    language_power,
+    rendered_words,
+    word_of,
+)
 
 
 def report(criterion, text):
@@ -189,7 +196,7 @@ def test_criterion_6_oracle_equivalence(corpus):
                 top = g.n if i == j else g.n - 1
                 for k in range(1, top + 1):
                     entry = matrices[k - 1].rows[i][j]
-                    got = {w.indices for w in entry.words}
+                    got = {as_word(w.indices) for w in entry.words}
                     assert got == oracle.get((i, j, k), set()), (i, j, k)
                     checked += 1
         adjacency = adjacency_matrix(g)

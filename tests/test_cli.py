@@ -3,6 +3,7 @@ import decimal
 import io
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinpaths import bruteforce, enumeration
-from latinpaths.cli import _BATCH, _emit_result, _run_words, build_parser, main
+from latinpaths.cli import _BATCH, _emit_result, _load_graph, _run_words, build_parser, main
 from latinpaths.enumeration import WordLimitError, latin_powers
 from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
 from latinpaths.words import Alphabet, enumerate_distinguished
 
-from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, kernel_entries
+from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, as_word, kernel_entries
 
 
 def run_cli(*argv):
@@ -489,6 +490,54 @@ class TestMatrix:
                     assert run_cli(*query, "--engine", "oracle") == (0, lcdl_out, ""), (graph, k)
 
 
+class TestWideLetters:
+    """A graph of 300 vertices: the words through v256 and above are
+    strings of two bytes per letter.  Both engines give the same bytes.
+    Its arcs run from level v % 3 to the next, so that no path is longer
+    than two arcs but through the three triangles."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def wide_file(self, tmp_path_factory):
+        rng = random.Random(300)
+        names = [f"v{i}" for i in range(self.N)]
+        arcs = {
+            (u, v)
+            for u in range(self.N)
+            if u % 3 < 2
+            for v in rng.sample(range(u % 3 + 1, self.N, 3), 3)
+        }
+        # triangles across the one-byte and two-byte letters
+        for a, b, c in ((256, 280, 299), (10, 260, 255), (299, 0, 257)):
+            arcs |= {(a, b), (b, c), (c, a)}
+        lines = ["vertices: " + " ".join(names)]
+        lines += [f"{names[u]} {names[v]} {(u * 7 + v) % 5 + 0.5}" for u, v in sorted(arcs)]
+        path = tmp_path_factory.mktemp("wide") / "wide.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_engines_agree(self, wide_file):
+        graph = _load_graph(wide_file)
+        succ = graph.successors
+        queries = [("matrix", "-k", "2")]
+        for u in (0, 10, 255, 256, 257, 280, 299):
+            ends = sorted({w for m in succ[u] for w in succ[m] if w != u})
+            queries += [("paths", "-i", f"v{u}", "-j", f"v{w}", "-k", "2") for w in ends]
+            queries.append(("circuits", "-i", f"v{u}", "-k", "3"))
+        wide = 0  # answers through a letter of two bytes
+        for command, *rest in queries:
+            for fmt in ("json", "text"):
+                argv = (command, wide_file, *rest, "--format", fmt)
+                code, lcdl_out, err = run_cli(*argv)
+                assert code == 0, err
+                assert run_cli(*argv, "--engine", "oracle") == (0, lcdl_out, ""), argv
+            if command != "matrix":
+                for line in lcdl_out.splitlines():
+                    wide += max(int(v[1:]) for v in line.split()[0].split("-")) > 0xFF
+        assert len(queries) > 30 and wide > 20, (len(queries), wide)
+
+
 class TestWords:
     def test_count_only(self):
         code, out, _ = run_cli("words", "-n", "4", "--count-only")
@@ -719,6 +768,14 @@ class TestErrorsAndGuards:
         assert "line 1:" in err
 
 
+    def test_more_vertices_than_code_points(self, tmp_path):
+        # the names repeat: the count is checked first
+        path = tmp_path / "huge.txt"
+        path.write_text("# one letter per vertex\nvertices:" + " a" * 0x110001 + "\n")
+        code, out, err = run_cli("paths", str(path), "-i", "a", "-j", "a", "-k", "1")
+        assert (code, out, err) == (2, "", "error: line 2: more than 1114112 vertices\n")
+
+
 class TestGraphEncoding:
     QUERY = ("hamiltonian", "FILE", "--kind", "circuit", "--format", "json")
 
@@ -824,7 +881,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_builds_no_vertex_path(self, five_file, monkeypatch, fmt):
-        """The oracle answers with index words from the walk to the output."""
+        """The oracle answers with words from the walk to the output."""
         queries = [
             (command, five_file, *rest, "--engine", "oracle", "--format", fmt)
             for command, *rest in self.QUERIES
@@ -906,7 +963,8 @@ class TestExactCosts:
                 if expected is None:
                     assert best is None
                 else:  # priced in units of 1/graph.denominator
-                    assert (best[0], Fraction(best[1], graph.denominator)) == expected
+                    word, cost = expected
+                    assert (best[0], Fraction(best[1], graph.denominator)) == (as_word(word), cost)
             flags = [f for flag, x in zip(("--from", "--to"), names) if x for f in (flag, x)]
             for engine in ("lcdl", "oracle"):
                 code, out, _ = run_cli(
@@ -1026,7 +1084,7 @@ AWKWARD_COSTS = st.one_of(
 
 @st.composite
 def emitted_answers(draw):
-    """A graph built directly, walks along its arcs as index words, and a
+    """A graph built directly, walks along its arcs as words, and a
     query head."""
     names = draw(st.lists(AWKWARD_NAMES, min_size=1, max_size=5, unique=True))
     pairs = [(i, j) for i in range(len(names)) for j in range(len(names))]
@@ -1043,7 +1101,7 @@ def emitted_answers(draw):
             if not successors:
                 break
             walk.append(draw(st.sampled_from(successors)))
-        items.append(tuple(walk))
+        items.append(as_word(walk))
     name_or_none = st.one_of(st.none(), st.sampled_from(names))
     query = draw(st.sampled_from([
         {"command": "paths", "source": draw(AWKWARD_NAMES), "target": names[0],
@@ -1062,7 +1120,7 @@ class TestEmitter:
         """The output of `json.dumps(payload, indent=2)`, byte for byte,
         with each cost's text in place of a marker."""
         graph, query, items = answer
-        paths = [[graph.vertices[i] for i in w] for w in items]
+        paths = [[graph.vertices[ord(c)] for c in w] for w in items]
         costs = [
             None if graph.costs is None else _cost_text(_named_cost(graph, p), True)
             for p in paths
@@ -1089,7 +1147,7 @@ class TestEmitter:
     @given(answer=emitted_answers())
     def test_text_lines(self, answer):
         graph, query, items = answer
-        paths = [[graph.vertices[i] for i in w] for w in items]
+        paths = [[graph.vertices[ord(c)] for c in w] for w in items]
         if graph.costs is not None:
             lines = [
                 f"{'-'.join(p)} cost={_cost_text(_named_cost(graph, p), False)}" for p in paths
@@ -1160,7 +1218,7 @@ class TestEmitter:
     def test_names_beyond_ascii(self):
         graph = DirectedGraph(("é", "\x1f", "中"), (("é", "\x1f"), ("\x1f", "中")), (1.5, -0.0))
         query = {"command": "hamiltonian", "kind": "path"}
-        items = [(0, 1, 2)]
+        items = [as_word((0, 1, 2))]
         assert "".join(_emit_result(graph, query, items, "text", "")) == "é-\x1f-中 cost=1.5\n"
         payload = {
             "query": query,
@@ -1177,7 +1235,7 @@ class TestEmitter:
         arcs = tuple((u, v) for u in names for v in names if u != v)
         graph = DirectedGraph(names, arcs, tuple(range(1, len(arcs) + 1)))
         items = enumeration.hamiltonian(graph, "path")
-        paths = [[names[i] for i in w] for w in items]
+        paths = [[names[ord(c)] for c in w] for w in items]
         query = {"command": "hamiltonian", "kind": "path"}
         chunks = list(_emit_result(graph, query, items, "json", ""))
         payload = {
@@ -1203,8 +1261,8 @@ class TestEmitter:
         arcs = tuple((u, v) for u in names for v in names)
         weights = (0.1, 0.2, 1e16, 2.5, 0.3, -0.5, 1e-07, 4.0, 3.0)
         graph = DirectedGraph(names, arcs, weights if costs else None)
-        items = list(itertools.product(range(3), repeat=7))[: _BATCH + extra]
-        paths = [[names[i] for i in w] for w in items]
+        items = list(map(as_word, itertools.product(range(3), repeat=7)))[: _BATCH + extra]
+        paths = [[names[ord(c)] for c in w] for w in items]
         query = {"command": "paths", "source": "a", "target": "c", "length": 6}
         exact = [_named_cost(graph, p) if costs else None for p in paths]
         if costs:

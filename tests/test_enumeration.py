@@ -35,6 +35,7 @@ from latinpaths.graph import DirectedGraph
 from latinpaths.semiring import mat_mul
 
 from conftest import (
+    as_word,
     graphs_with_loops,
     kernel_entries,
     language_power,
@@ -75,7 +76,7 @@ class TestPowersFourVertex:
 class TestElementaryPaths:
     def test_length_two(self, four_vertex_graph):
         result = elementary_paths(four_vertex_graph, "v1", "v4", 2)
-        assert result == ((0, 1, 3), (0, 2, 3))
+        assert result == (as_word((0, 1, 3)), as_word((0, 2, 3)))
         assert rendered_words(four_vertex_graph, result) == ["v1-v2-v4", "v1-v3-v4"]
 
     def test_length_three(self, four_vertex_graph):
@@ -121,7 +122,7 @@ class TestElementaryCircuits:
 
 class TestHamiltonian:
     def test_single_path(self, four_vertex_graph):
-        assert hamiltonian_paths(four_vertex_graph) == [(0, 1, 2, 3)]
+        assert hamiltonian_paths(four_vertex_graph) == [as_word((0, 1, 2, 3))]
 
     def test_weighted_circuits_form_one_rotation_class(self, five_vertex_graph):
         # the paper's worked example prints only 4 of these and an empty
@@ -148,7 +149,7 @@ class TestHamiltonian:
 
     def test_single_vertex_self_loop_circuit(self):
         g = DirectedGraph(("a",), (("a", "a"),))
-        assert hamiltonian_circuits(g) == [(0, 0)]
+        assert hamiltonian_circuits(g) == [as_word((0, 0))]
 
     def test_paths_need_two_vertices(self):
         g = DirectedGraph(("a",), (("a", "a"),))
@@ -303,12 +304,12 @@ class TestOptimalHamiltonian:
     def test_tie_breaks_canonically(self):
         g = self.TIED
         best = optimal_hamiltonian(g, "path", hamiltonian, "min")
-        assert best == ((0, 1, 2), 2)
+        assert best == (as_word((0, 1, 2)), 2)
 
     def test_max_tie_breaks_canonically(self):
         g = self.TIED
         best = optimal_hamiltonian(g, "path", hamiltonian, "max")
-        assert best == ((0, 1, 2), 2)
+        assert best == (as_word((0, 1, 2)), 2)
 
 
 # Tie-heavy cost sets: many Hamiltonian paths share a cost, and with the
@@ -377,16 +378,16 @@ class TestHeldKarp:
         assert g.denominator == 10
         for objective in ("min", "max"):
             best = held_karp(g, "path", objective, start="a")
-            assert best == ((0, 1, 2), 3)
+            assert best == (as_word((0, 1, 2)), 3)
             assert optimal_hamiltonian(g, "path", hamiltonian, objective, start="a") == best
 
     def test_circuits_of_one_and_two_vertices(self):
         # costs in tenths
         loop = DirectedGraph(("a",), (("a", "a"),), (2.5,))
-        assert held_karp(loop, "circuit") == ((0, 0), 25)
+        assert held_karp(loop, "circuit") == (as_word((0, 0)), 25)
         assert held_karp(DirectedGraph(("a",), (), ()), "circuit") is None
         pair = DirectedGraph(("a", "b"), (("a", "b"), ("b", "a"), ("b", "b")), (1.0, 2.0, 0.5))
-        assert held_karp(pair, "circuit", "max", end="b") == ((1, 0, 1), 30)
+        assert held_karp(pair, "circuit", "max", end="b") == (as_word((1, 0, 1)), 30)
         assert held_karp(pair, "circuit", start="a", end="b") is None
 
     def test_unknown_vertex(self, five_vertex_graph):
@@ -462,8 +463,8 @@ class TestHeldKarp:
         # every entry of every power ties: each keeps its smallest next vertex
         g = complete_digraph(6)
         g = DirectedGraph(g.vertices, g.arcs, (1,) * len(g.arcs))
-        assert held_karp(g, "path", objective) == ((0, 1, 2, 3, 4, 5), 5)
-        assert held_karp(g, "circuit", objective) == ((0, 1, 2, 3, 4, 5, 0), 6)
+        assert held_karp(g, "path", objective) == (as_word((0, 1, 2, 3, 4, 5)), 5)
+        assert held_karp(g, "circuit", objective) == (as_word((0, 1, 2, 3, 4, 5, 0)), 6)
 
     def test_inner_tie_goes_to_the_smaller_next_vertex(self):
         # The only Hamiltonian paths, a-b-c-d-e and a-b-d-c-e, both cost
@@ -478,7 +479,7 @@ class TestHeldKarp:
         )
         for objective in ("min", "max"):
             best = held_karp(g, "path", objective)
-            assert best == ((0, 1, 2, 3, 4), 23)
+            assert best == (as_word((0, 1, 2, 3, 4)), 23)
             assert optimal_hamiltonian(g, "path", hamiltonian, objective) == best
 
     def test_peak_memory(self):
@@ -615,7 +616,7 @@ def assert_kernel_matches_reference(g):
                 assert list(words) == sorted(words), (k, i, j)
             # the diagonal, derived on read, is the reference's, and fresh
             circuits = power[i][i]
-            assert circuits == sorted(w.indices for w in expected.rows[i][i].words), (k, i)
+            assert circuits == sorted(as_word(w.indices) for w in expected.rows[i][i].words), (k, i)
             assert circuits is not again[i][i]
     # power n is all diagonal: an n-arc path needs n+1 distinct vertices
     assert all(
@@ -646,7 +647,9 @@ def assert_circuits_match_reference(g, reference):
     column 1 of the reference's powers 1..n-1, its circuit entry (1, 1)
     included, then the whole diagonal of power n."""
     n = g.n
-    diagonal = [sorted(w.indices for w in reference[-1].rows[i][i].words) for i in range(n)]
+    diagonal = [
+        sorted(as_word(w.indices) for w in reference[-1].rows[i][i].words) for i in range(n)
+    ]
     circuits = hamiltonian_circuits(g)
     assert circuits == [w for entry in diagonal for w in entry] == dfs_hamiltonian(g, "circuit")
     counts = [sum(len(row[0].words) for row in power.rows) for power in reference[: n - 1]]
@@ -903,9 +906,9 @@ def _refused_at(counts, limit):
 
 
 def assert_last_depth_matches_reference(g):
-    """Depth n-1 of `_depths`, where each word of depth n-2 takes the one
-    vertex it misses, against the reference's power n-1: every column, and
-    column 1 built alone, hold the reference's paths.  At the limits c - 1
+    """Depth n-1 of `_depths`, where each word takes the one vertex it
+    misses, against the reference's power n-1: every column, and column 1
+    built alone, hold the reference's paths.  At the limits c - 1
     and c, c the count of power n-1 over the columns a query builds (its
     paths and circuits), `hamiltonian_paths`, `hamiltonian_circuits`
     (column 1, then power n) and `elementary_paths` at k = n-1 are refused
@@ -919,7 +922,7 @@ def assert_last_depth_matches_reference(g):
     last = reference[n - 2]
     expected = [
         {
-            i: sorted(w.indices for w in last.rows[i][j].words)
+            i: sorted(as_word(w.indices) for w in last.rows[i][j].words)
             for i in range(n)
             if i != j and last.rows[i][j].words
         }
@@ -932,7 +935,7 @@ def assert_last_depth_matches_reference(g):
 
     every = [sum(stored_words(p)) for p in reference[: n - 1]]
     first = [sum(len(row[0].words) for row in p.rows) for p in reference[: n - 1]]
-    circuits = sorted(w.indices for i in range(n) for w in reference[-1].rows[i][i].words)
+    circuits = sorted(as_word(w.indices) for i in range(n) for w in reference[-1].rows[i][i].words)
     names = g.vertices
     queries = [
         (hamiltonian_paths, every, sorted(w for c in expected for ws in c.values() for w in ws)),
@@ -962,8 +965,8 @@ def assert_last_depth_matches_reference(g):
 
 
 class TestLastDepth:
-    """The last-depth rule of `_depths` against the reference powers, on
-    the paths it keeps and the words its guard counts."""
+    """The last depth of `_depths` against the reference powers, on the
+    paths it keeps and the words its guard counts."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete_digraphs(self, n):
@@ -1006,7 +1009,7 @@ def test_sparse_chain_powers():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
-    assert paths == ((0, 1, 2),)
+    assert paths == (as_word((0, 1, 2)),)
 
 
 class TestGuards:

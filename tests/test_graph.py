@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from latinpaths.enumeration import adjacency_matrix, latin_matrix
 from latinpaths.graph import (
+    MAX_VERTICES,
     DirectedGraph,
     GraphParseError,
     PathError,
@@ -21,7 +22,7 @@ from latinpaths.graph import (
     serialize_graph,
 )
 
-from conftest import word_of
+from conftest import as_word, word_of
 
 
 class TestParse:
@@ -115,6 +116,23 @@ class TestParse:
         # zero with any exponent is zero, and the least subnormal is a float
         g = parse_graph("vertices: a b\na b 0e-999999999\nb a 5e-324\n")
         assert (g.arc_cost[0][1], g.arc_cost[1][0], g.denominator) == (0, 5, 10**324)
+
+    def test_more_vertices_than_code_points(self):
+        """A word holds one code point per vertex, and chr() stops at
+        0x10FFFF, so 0x110001 names are refused on their line, and by
+        `DirectedGraph` before it builds any index.  The names repeat, so
+        the count is checked before their duplicates; 0x110000 of them
+        pass the count and meet the duplicate check."""
+        assert MAX_VERTICES == 0x110000 == 1_114_112
+        names = "a " * (MAX_VERTICES + 1)
+        with pytest.raises(GraphParseError, match="^line 3: more than 1114112 vertices$"):
+            parse_graph(f"# a comment\n\nvertices: {names}\na a\n")
+        with pytest.raises(GraphParseError, match="^line 1: duplicate vertex name$"):
+            parse_graph(f"vertices: {names[2:]}\n")
+        with pytest.raises(ValueError, match="^more than 1114112 vertices$"):
+            DirectedGraph(("a",) * (MAX_VERTICES + 1), ())
+        with pytest.raises(ValueError, match="^vertex names must be distinct$"):
+            DirectedGraph(("a",) * MAX_VERTICES, ())
 
 
 class TestSerialize:
@@ -265,6 +283,38 @@ class TestIndex:
                 assert Fraction(cost, graph.denominator) == Fraction(repr(costs[a]))
         places = [-Decimal(repr(c)).normalize().as_tuple().exponent for c in costs or ()]
         assert graph.denominator == 10 ** max([0, *places])
+        # `letter_cost` is `arc_cost` by letter: from the start, each letter
+        # chr(i) costs 0 and leads to v_i's row, whose letters lead on
+        if costs is None:
+            assert graph.letter_cost is None
+            return
+        assert list(graph.letter_cost) == [chr(i) for i in range(len(names))]
+        for i, row in enumerate(graph.arc_cost):
+            zero, letters = graph.letter_cost[chr(i)]
+            assert zero == 0
+            assert {ord(c): cost for c, (cost, _) in letters.items()} == row
+            assert all(after is graph.letter_cost[c][1] for c, (_, after) in letters.items())
+
+
+# Code points where a string's width or kind changes: one byte to two at
+# 0x100, two to four at 0x10000, and the surrogates 0xD800-0xDFFF between
+BOUNDARY_INDICES = (0, 0xFF, 0x100, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFF,
+                    0x10000, 0x10FFFF)
+indices = st.one_of(
+    st.sampled_from(BOUNDARY_INDICES), st.integers(0xD800, 0xDFFF), st.integers(0, 0x10FFFF)
+)
+
+
+class TestWordOrder:
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(indices, max_size=6).map(tuple), max_size=12), st.data())
+    def test_code_point_order_is_tuple_order(self, tuples, data):
+        """Words sort as their index tuples do, prefixes first, and `ord`
+        gives each tuple back."""
+        tuples += [t[: data.draw(st.integers(0, len(t)))] for t in tuples]
+        words = [as_word(t) for t in tuples]
+        assert [tuple(map(ord, w)) for w in words] == tuples
+        assert sorted(words) == [as_word(t) for t in sorted(tuples)]
 
 
 class TestAdjacencyMatrix:
@@ -331,7 +381,7 @@ class TestPathCost:
 
     def test_missing_costs(self, four_vertex_graph):
         with pytest.raises(ValueError):
-            path_cost(four_vertex_graph, (0, 1))
+            path_cost(four_vertex_graph, as_word((0, 1)))
 
     def test_invalid_path(self, five_vertex_graph):
         with pytest.raises(PathError, match=r"^\(2, 3\) is not an arc of the graph$"):
@@ -344,9 +394,9 @@ class TestPathCost:
         arc of a word is the one named, wherever it falls, and a graph
         without costs is refused whatever the word."""
         g = DirectedGraph(tuple("abc"), (("a", "b"), ("b", "c"), ("c", "c")), (1.5, 2, 0.25))
-        assert path_cost(g, ()) == 0
-        assert [path_cost(g, (i,)) for i in range(3)] == [0, 0, 0]
-        assert (path_cost(g, (0, 1, 2, 2)), g.denominator) == (375, 100)
+        assert path_cost(g, as_word(())) == 0
+        assert [path_cost(g, as_word((i,))) for i in range(3)] == [0, 0, 0]
+        assert (path_cost(g, as_word((0, 1, 2, 2))), g.denominator) == (375, 100)
         for word, arc in [
             ((1, 0), "(b, a)"),
             ((0, 1, 0, 2), "(b, a)"),
@@ -354,23 +404,23 @@ class TestPathCost:
             ((0, 0, 1, 0), "(a, a)"),
         ]:
             with pytest.raises(PathError, match=rf"^{re.escape(arc)} is not an arc of the graph$"):
-                path_cost(g, word)
+                path_cost(g, as_word(word))
         for word in [(), (0,), (0, 1), (1, 0)]:
             with pytest.raises(ValueError, match="^graph has no arc costs$"):
-                path_cost(four_vertex_graph, word)
+                path_cost(four_vertex_graph, as_word(word))
 
     def test_exact_in_any_order(self):
         # in floats, (0.1 + 0.2) + 0.3 is 0.6000000000000001 and a
         # compensated sum gives 0.6
         g = DirectedGraph(tuple("abcd"), (("a", "b"), ("b", "c"), ("c", "d")), (0.1, 0.2, 0.3))
-        assert (path_cost(g, (0, 1, 2, 3)), g.denominator) == (6, 10)
+        assert (path_cost(g, as_word((0, 1, 2, 3))), g.denominator) == (6, 10)
 
     def test_matches_the_cost_of_sum_on_the_corpus(self, corpus):
         rng = random.Random(20260)
         awkward = (0.1, 0.2, 0.3, -0.0, 0.0, 1e16, 1e-07, -2.5, 1e300, -1e300, 3.0)
         for plain in corpus:
             with pytest.raises(ValueError):
-                path_cost(plain, (0, 1))
+                path_cost(plain, as_word((0, 1)))
             if not plain.arcs:
                 continue
             costs = tuple(
@@ -386,7 +436,7 @@ class TestPathCost:
                 walk = [rng.choice(g.arcs)[0]]
                 while len(walk) < 2 or (successors[walk[-1]] and rng.random() < 0.8):
                     walk.append(rng.choice(successors[walk[-1]]))
-                word = tuple(g.vertices.index(v) for v in walk)
+                word = as_word(g.vertices.index(v) for v in walk)
                 expected = sum(named[u, v] for u, v in zip(walk, walk[1:]))
                 assert Fraction(path_cost(g, word), g.denominator) == expected
             missing = next(
@@ -396,7 +446,7 @@ class TestPathCost:
             )
             if missing is not None:
                 with pytest.raises(PathError):
-                    path_cost(g, missing)
+                    path_cost(g, as_word(missing))
 
 
 class TestExactCosts:
@@ -409,7 +459,8 @@ class TestExactCosts:
         assert [g.arc_cost[i][i + 1] for i in range(8)] == [
             10**4, 2 * 10**4, 3 * 10**4, -5 * 10**4, 2 * 10**5, 1, 10**27, 0,
         ]
-        assert path_cost(g, (0, 1, 2)) == path_cost(g, (2, 3)) and 0.1 + 0.2 != 0.3
+        assert path_cost(g, as_word((0, 1, 2))) == path_cost(g, as_word((2, 3)))
+        assert 0.1 + 0.2 != 0.3
 
     def test_parsed_text(self, five_vertex_graph):
         # integer costs need no denominator; the file's decimals are kept
@@ -424,7 +475,7 @@ class TestExactCosts:
 
     def test_missing_costs(self, four_vertex_graph):
         with pytest.raises(ValueError):
-            path_cost(four_vertex_graph, (0, 1))
+            path_cost(four_vertex_graph, as_word((0, 1)))
         assert four_vertex_graph.denominator == 1
         assert all(c is None for row in four_vertex_graph.arc_cost for c in row.values())
 
