@@ -10,8 +10,10 @@ code points are vertex indices, `graph.Word`) in canonical order, which is
 code-point order.  One walk,
 `_simple_paths`, lists the simple paths of exactly k arcs from a source,
 already in that order: paths keep those that end at the target, circuits
-close the paths of k - 1 arcs over an arc back to the source, and
-Hamiltonian paths join the paths of n - 1 arcs from each source in turn.
+close the paths of k - 1 arcs over an arc back to the source, a row of
+the `matrix` table extends the paths of k - 1 arcs by one arc and splits
+them by their end, and Hamiltonian paths join the paths of n - 1 arcs from
+each source in turn.
 """
 
 from __future__ import annotations
@@ -83,6 +85,24 @@ def dfs_elementary_circuits(graph: DirectedGraph, start: str, k: int) -> Enumera
     succ = graph.successors
     hits = (p + p[0] for p in _simple_paths(graph, s, k - 1) if s in succ[ord(p[-1])])
     return EnumerationResult(tuple(hits), graph.vertices)
+
+
+def dfs_power_row(graph: DirectedGraph, source: str, k: int) -> list[list[Word]]:
+    """Row `source` of the k-th power by one walk: entry t holds the paths
+    of k arcs from source to v_t, and entry source the circuits of k arcs
+    through it, anchored there, each in canonical order.  Each path of the
+    walk of k - 1 arcs is extended over the arcs out of its end, ascending:
+    back to the source it closes a circuit, to a vertex off the path it
+    makes a path.  That is the order of the walk of k arcs, so every entry
+    is in canonical order; at k = n no vertex is off a path."""
+    s = graph.circuit_start(source, k)
+    succ = graph.successors
+    row: list[list[Word]] = [[] for _ in succ]
+    for p in _simple_paths(graph, s, k - 1):
+        for m in succ[ord(p[-1])]:
+            if m == s or chr(m) not in p:
+                row[m].append(p + chr(m))
+    return row
 
 
 def dfs_count_all_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:

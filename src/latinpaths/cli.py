@@ -18,16 +18,11 @@ from collections.abc import Callable, Iterator
 
 from . import bruteforce, enumeration
 from .graph import (
+    EMPTY_RENDERING,
     DirectedGraph,
     cost_text,
     parse_graph,
     path_cost,
-)
-from .words import (
-    EMPTY_RENDERING,
-    Alphabet,
-    distinguished_in_order,
-    sigma_count,
 )
 
 EXIT_OK = 0
@@ -229,16 +224,6 @@ def _optimal(best) -> list[enumeration.Word]:
     return [best[0]] if best is not None else []
 
 
-def _oracle_paths(
-    graph: DirectedGraph, source: str, target: str, k: int
-) -> tuple[enumeration.Word, ...]:
-    return bruteforce.dfs_elementary_paths(graph, source, target, k).words
-
-
-def _oracle_circuits(graph: DirectedGraph, start: str, k: int) -> tuple[enumeration.Word, ...]:
-    return bruteforce.dfs_elementary_circuits(graph, start, k).words
-
-
 _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 
 # Commands that answer with a list of paths: (lcdl call, oracle call, query
@@ -247,13 +232,13 @@ _PAIR_FIELDS = (("source", "i"), ("target", "j"), ("length", "k"))
 _ENUMERATIONS = {
     "paths": (
         lambda g, a: enumeration.elementary_paths(g, a.i, a.j, a.k, a.limit),
-        lambda g, a: _oracle_paths(g, a.i, a.j, a.k),
+        lambda g, a: bruteforce.dfs_elementary_paths(g, a.i, a.j, a.k).words,
         _PAIR_FIELDS,
         "",
     ),
     "circuits": (
         lambda g, a: enumeration.elementary_circuits(g, a.i, a.k, a.limit),
-        lambda g, a: _oracle_circuits(g, a.i, a.k),
+        lambda g, a: bruteforce.dfs_elementary_circuits(g, a.i, a.k).words,
         (("start", "i"), ("length", "k")),
         "",
     ),
@@ -322,15 +307,7 @@ def _run_matrix(args) -> Iterator[str]:
     n, k, names = graph.n, args.k, graph.vertices
     if args.engine == "oracle":
         graph.check_power(k)
-        # off the diagonal of power n: an n-arc path needs n+1 distinct vertices
-        entries = [
-            [
-                _oracle_circuits(graph, u, k) if u == v
-                else _oracle_paths(graph, u, v, k) if k < n else ()
-                for v in names
-            ]
-            for u in names
-        ]
+        entries = [bruteforce.dfs_power_row(graph, u, k) for u in names]
     else:
         entries = enumeration.power_entries(graph, k, args.limit)
     name = _letter_names(names)
@@ -349,6 +326,9 @@ def _run_matrix(args) -> Iterator[str]:
 
 
 def _run_words(args) -> Iterator[str]:
+    # the only command that runs the word algebra, so the only one to load it
+    from .words import Alphabet, distinguished_in_order, sigma_count
+
     if args.n is not None:
         if args.n < 1:
             raise ValueError("alphabet size must be positive")

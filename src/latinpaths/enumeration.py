@@ -41,18 +41,15 @@ code points.  A column is a sparse dict that stores only nonempty
 off-diagonal entries, so a power costs its paths, not n^2.  Each entry
 comes out in canonical order, since m ascends and every entry of L^[k-1]
 is in that order already.  The generic product over the semiring of
-distinguished languages stays as the executable reference: `latin_matrix`
-builds L from the arcs, `reference_powers` computes its left powers, and
-the tests compare them with the kernel's entries (`power_entries`)
-rebuilt as languages (`_language_matrix`, which reads each letter back
-with `ord`).  The `matrix` command reads every entry of one power
-(`power_entries`).
+distinguished languages stays as the executable reference, in
+`reference`, which the tests check the kernel's entries against.  The
+`matrix` command reads every entry of one power (`power_entries`).
 `count_paths` reads entry (i, j) of A^k, A the adjacency matrix over
 the naturals, by one of two exact evaluations: k steps of column j of the
 left recurrence, about k m additions for m arcs, or binary powers of A,
 about k.bit_length() n^3 products; it counts the work of each, the `sum`
 calls included, and takes the powers only when their count is the
-smaller.  Left powers of `adjacency_matrix` are the reference for both.
+smaller.  `reference.count_paths_reference` is the reference for both.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per entry (first vertex,
@@ -75,12 +72,22 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from operator import le, mul
 
-from .graph import DirectedGraph, VertexPath, Word, path_cost
-from .languages import DistinguishedLanguage
-from .semiring import NATURALS, SemiringMatrix, language_semiring, mat_mul, mat_power_left
-from .words import Alphabet, DistinguishedWord
+from .graph import DirectedGraph, Word, path_cost
 
 DEFAULT_WORD_LIMIT = 1_000_000
+
+# The reference names that bench/tracer.py patches on this module, read
+# from `reference` on first use, so that no query loads the algebra.
+# ROADMAP item 1b deletes this hook.
+_TRACED_REFERENCE = frozenset(("latin_matrix", "adjacency_matrix", "mat_mul", "mat_power_left"))
+
+
+def __getattr__(name: str):
+    if name in _TRACED_REFERENCE:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class WordLimitError(RuntimeError):
@@ -215,65 +222,6 @@ def _columns(
     for k, power in enumerate(_depths(graph, range(n), max(n - 1, 1), word_limit), start=1):
         if k <= depth:
             yield [power[j] for j in targets]
-
-
-def _language_matrix(vertices: tuple[str, ...], rows) -> SemiringMatrix:
-    """Kernel words as a matrix of distinguished languages: rows[i][j]
-    holds the words of entry (i, j), simple words off the diagonal and
-    simple cyclic words on it."""
-    alphabet = Alphabet(vertices)
-    return SemiringMatrix(
-        language_semiring(alphabet),
-        tuple(
-            tuple(
-                DistinguishedLanguage(
-                    alphabet,
-                    frozenset(DistinguishedWord.from_indices(tuple(map(ord, w))) for w in words),
-                )
-                for words in row
-            )
-            for row in rows
-        ),
-    )
-
-
-def adjacency_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    n = graph.n
-    rows = tuple(tuple(1 if j in row else 0 for j in range(n)) for row in graph.arc_cost)
-    return SemiringMatrix(NATURALS, rows)
-
-
-def latin_matrix(graph: DirectedGraph) -> SemiringMatrix:
-    """Entry (i, j) is the singleton language {v_i v_j} when the arc exists;
-    a self-loop gives the two-symbol cyclic word v_i v_i."""
-    index = graph.vertex_index
-    rows: list[list[list[Word]]] = [[[] for _ in graph.vertices] for _ in graph.vertices]
-    for u, v in graph.arcs:
-        i, j = index[u], index[v]
-        rows[i][j].append(chr(i) + chr(j))
-    return _language_matrix(graph.vertices, rows)
-
-
-def reference_powers(graph: DirectedGraph) -> list[SemiringMatrix]:
-    """All n left powers by the generic product over the semiring of
-    distinguished languages: the reference the kernel's `power_entries`
-    are checked against."""
-    base = latin_matrix(graph)
-    powers = [base]
-    for _ in range(graph.n - 1):
-        powers.append(mat_mul(base, powers[-1]))
-    return powers
-
-
-def decode_word(graph: DirectedGraph, word: DistinguishedWord) -> VertexPath:
-    return VertexPath(tuple(graph.vertices[i] for i in word.indices))
-
-
-def encode_path(graph: DirectedGraph, path: VertexPath) -> DistinguishedWord:
-    """Inverse of decode_word; round-trips every enumerated path."""
-    return DistinguishedWord.from_indices(
-        tuple(graph.index(v) for v in path.vertices)
-    )
 
 
 def elementary_paths(
@@ -448,13 +396,6 @@ def _count_by_squaring(graph: DirectedGraph, i: int, j: int, k: int) -> int:
     for _ in range(k):
         column = [sum(map(mul, row, column)) for row in power]
     return column[i]
-
-
-def count_paths_reference(graph: DirectedGraph, source: str, target: str, k: int) -> int:
-    """`count_paths` by generic left powers of the adjacency matrix over
-    the naturals: the reference it is checked against."""
-    i, j = graph.walk_ends(source, target, k)
-    return mat_power_left(adjacency_matrix(graph), k).rows[i][j]
 
 
 def _selection(

@@ -26,6 +26,9 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 MAX_VERTICES = 0x110000
 Word = str
 
+# How an empty entry or the empty word is written (`matrix`, `words`)
+EMPTY_RENDERING = "^"
+
 
 class GraphParseError(ValueError):
     """Malformed graph input; message carries the offending line number."""

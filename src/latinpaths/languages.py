@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graph import EMPTY_RENDERING
 from .words import (
-    EMPTY_RENDERING,
     Alphabet,
     AlphabetError,
     DistinguishedWord,

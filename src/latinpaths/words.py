@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
 
-ENUMERATION_CAP = 8
+from .graph import EMPTY_RENDERING
 
-EMPTY_RENDERING = "^"
+ENUMERATION_CAP = 8
 
 
 class AlphabetError(ValueError):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import strategies as st
 
 import latinpaths
-from latinpaths.enumeration import _language_matrix, power_entries
+from latinpaths.enumeration import power_entries
 from latinpaths.graph import DirectedGraph, parse_graph
+from latinpaths.reference import _language_matrix
 
 # 4-vertex unweighted graph: dominant upper-triangular shape with two
 # self-loops; it has exactly one Hamiltonian path and no circuits of

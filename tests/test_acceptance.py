@@ -22,17 +22,16 @@ from latinpaths.bruteforce import (
 )
 from latinpaths.cli import main as cli_main
 from latinpaths.enumeration import (
-    adjacency_matrix,
     elementary_circuits,
     elementary_paths,
     hamiltonian,
     hamiltonian_circuits,
     hamiltonian_paths,
-    latin_matrix,
     optimal_hamiltonian,
 )
 from latinpaths.graph import path_cost
 from latinpaths.languages import lang_zero, language_of
+from latinpaths.reference import adjacency_matrix, latin_matrix
 from latinpaths.semiring import language_semiring, mat_mul, mat_power_left, matrix
 from latinpaths.words import (
     Alphabet,

@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import latinpaths
-import latinpaths.cli  # noqa: F401  loads every module the tracer patches
 from latinpaths.cli import main
-from latinpaths.enumeration import power_entries, reference_powers
+from latinpaths.enumeration import power_entries
 from latinpaths.graph import serialize_graph
+from latinpaths.reference import reference_powers
+
+from conftest import run_python
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER_PATH = BENCH / "tracer.py"
@@ -50,9 +52,31 @@ def bench_run():
 
 
 def test_every_patch_resolves(tracer):
+    # this module has loaded the reference itself; see the test below for
+    # a process that loads only the CLI
     for module_name, attr, name, _ in tracer.PATCHES:
         module = getattr(latinpaths, module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({name})"
+
+
+def test_trace_after_importing_only_the_cli():
+    """What `bench/run.py --trace 1` does, in a fresh interpreter that
+    imports `latinpaths.cli` alone: resolve every patch in order (the
+    reference modules load as the enumeration entries are read), then run
+    the K8 self-check."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import latinpaths.cli, tracer\n"
+        "pkg = sys.modules['latinpaths']\n"
+        "for module_name, attr, name, _ in tracer.PATCHES:\n"
+        "    assert callable(getattr(getattr(pkg, module_name), attr, None)), name\n"
+        "print(tracer.self_check(pkg))\n"
+    )
+    # -B: write no bytecode under bench/
+    done = run_python("-B", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_stored_words_reads_kernel_and_reference_powers(

@@ -9,16 +9,17 @@ from latinpaths.bruteforce import (
     dfs_elementary_circuits,
     dfs_elementary_paths,
     dfs_hamiltonian,
+    dfs_power_row,
     enumerate_all_elementary,
 )
 from latinpaths.enumeration import (
-    adjacency_matrix,
     count_paths,
     hamiltonian_circuits,
     hamiltonian_paths,
 )
 from latinpaths.cli import main
 from latinpaths.graph import DirectedGraph, serialize_graph
+from latinpaths.reference import adjacency_matrix
 from latinpaths.semiring import mat_power_left
 
 from conftest import as_word, graphs_with_loops, kernel_entries, rendered_words
@@ -81,6 +82,20 @@ class TestElementaryCircuits:
                 assert all(j in succ[i] for i, j in zip(w, w[1:]))
                 assert w[0] == w[-1] and len(set(w[:-1])) == len(w) - 1
                 assert len(w) - 1 == k
+
+
+class TestPowerRow:
+    def test_four_vertex(self, four_vertex_graph):
+        row = dfs_power_row(four_vertex_graph, "v1", 2)
+        # the self-loop at v1 makes no two-arc path or circuit
+        assert [rendered_words(four_vertex_graph, words) for words in row] == [
+            [], [], ["v1-v2-v3"], ["v1-v2-v4", "v1-v3-v4"]
+        ]
+
+    def test_power_out_of_range(self, triangle):
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                dfs_power_row(triangle, "1", k)
 
 
 class TestCountAllPaths:
@@ -167,10 +182,13 @@ class TestHamiltonian:
 def assert_oracle_order_matches_kernel(g):
     """At every k and every pair of vertices that both engines answer, the
     oracle's words equal the kernel's as sequences: the walk yields them in
-    canonical order, with no sort."""
+    canonical order, with no sort.  So does every row of every power, as
+    `dfs_power_row` gives it."""
     powers = kernel_entries(g)
     for k in range(1, g.n + 1):
         for i, u in enumerate(g.vertices):
+            row = dfs_power_row(g, u, k)
+            assert list(map(tuple, row)) == list(map(tuple, powers[k - 1][i])), (g, k, i)
             for j, v in enumerate(g.vertices):
                 if i == j:
                     words = dfs_elementary_circuits(g, u, k).words

@@ -13,25 +13,27 @@ from latinpaths.enumeration import (
     WordLimitError,
     _count_by_squaring,
     _count_by_steps,
-    adjacency_matrix,
     count_paths,
-    count_paths_reference,
-    decode_word,
     elementary_circuits,
     elementary_paths,
-    encode_path,
     hamiltonian,
     hamiltonian_circuits,
     hamiltonian_paths,
     held_karp,
-    latin_matrix,
     latin_powers,
     max_length_elementary,
     optimal_hamiltonian,
     power_entries,
-    reference_powers,
 )
 from latinpaths.graph import DirectedGraph
+from latinpaths.reference import (
+    adjacency_matrix,
+    count_paths_reference,
+    decode_word,
+    encode_path,
+    latin_matrix,
+    reference_powers,
+)
 from latinpaths.semiring import mat_mul
 
 from conftest import (

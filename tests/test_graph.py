@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinpaths.enumeration import adjacency_matrix, latin_matrix
 from latinpaths.graph import (
     MAX_VERTICES,
     DirectedGraph,
@@ -21,6 +20,7 @@ from latinpaths.graph import (
     path_cost,
     serialize_graph,
 )
+from latinpaths.reference import adjacency_matrix, latin_matrix
 
 from conftest import as_word, word_of
 

@@ -142,7 +142,7 @@ class TestPowerLeft:
             assert mat_power_left(a, k) == direct
 
     def test_adjacency_cube_entry(self, four_vertex_graph):
-        from latinpaths.enumeration import adjacency_matrix
+        from latinpaths.reference import adjacency_matrix
 
         cube = mat_power_left(adjacency_matrix(four_vertex_graph), 3)
         assert cube.rows[0][3] == 5
