@@ -18,17 +18,17 @@ each source in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import DirectedGraph, VertexPath, Word
 
 
-@dataclass(frozen=True, slots=True)
 class EnumerationResult:
     """The answer of `dfs_elementary_paths` or `dfs_elementary_circuits`."""
 
-    words: tuple[Word, ...]  # canonical order
-    vertices: tuple[str, ...]  # the graph's, to decode `words`
+    __slots__ = ("words", "vertices")
+
+    def __init__(self, words: tuple[Word, ...], vertices: tuple[str, ...]):
+        self.words = words  # canonical order
+        self.vertices = vertices  # the graph's, to decode `words`
 
     @property
     def items(self) -> tuple[VertexPath, ...]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 
@@ -42,64 +41,71 @@ class PathError(ValueError):
     """A vertex sequence is not a valid path in the graph."""
 
 
-@dataclass(frozen=True, slots=True)
 class DirectedGraph:
-    vertices: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-    # parallel to arcs: decimals, or floats, each read as its repr
-    costs: tuple[Decimal | int | float, ...] | None = None
-    # Built once per graph: vertex name -> its index in vertices; per vertex,
-    # its successor indices, ascending, self-loops included; per vertex v_i,
-    # each successor index j -> the cost of arc (v_i, v_j), exactly, as an
-    # integer number of 1/denominator, in arc order (None on a graph without
-    # costs); and denominator, the least power of ten that makes costs whole.
-    # letter_cost, where pricing a word starts (None without costs), maps each
-    # letter chr(i) to 0 and the row of v_i: chr(j) -> the cost of arc
-    # (v_i, v_j) and the row of v_j, one dict lookup per letter of a word.
-    vertex_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    arc_cost: tuple[dict[int, int | None], ...] = field(init=False, repr=False, compare=False)
-    letter_cost: dict[str, dict] | None = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    """A graph and the tables built once from it.  costs runs parallel to
+    arcs: decimals, or floats, each read as its repr (None: no costs).
+    vertex_index maps each vertex name to its index in vertices.
+    successors holds, per vertex, its successor indices, ascending,
+    self-loops included.  arc_cost maps, per vertex v_i, each successor
+    index j to the cost of arc (v_i, v_j), exactly, as an integer number
+    of 1/denominator, in arc order (None on a graph without costs);
+    denominator is the least power of ten that makes costs whole.
+    letter_cost, where pricing a word starts, is built by the first
+    `path_cost` call on a graph with costs (None until then).  It maps
+    each letter chr(i) to 0 and the row of v_i: chr(j) -> the cost of arc
+    (v_i, v_j) and the row of v_j, one dict lookup per letter of a word.
+    Graphs compare by vertices, arcs and costs."""
 
-    def __post_init__(self):
-        if len(self.vertices) > MAX_VERTICES:
+    __slots__ = (
+        "vertices", "arcs", "costs",
+        "vertex_index", "successors", "arc_cost", "letter_cost", "denominator",
+    )
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        arcs: tuple[tuple[str, str], ...],
+        costs: tuple[Decimal | int | float, ...] | None = None,
+    ):
+        if len(vertices) > MAX_VERTICES:
             raise ValueError(f"more than {MAX_VERTICES} vertices")
-        vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        if len(vertex_index) != len(self.vertices):
+        vertex_index = {v: i for i, v in enumerate(vertices)}
+        if len(vertex_index) != len(vertices):
             raise ValueError("vertex names must be distinct")
-        denominator, scaled = 1, (None,) * len(self.arcs)
-        if self.costs is not None:
-            if len(self.costs) != len(self.arcs):
+        denominator, scaled = 1, (None,) * len(arcs)
+        if costs is not None:
+            if len(costs) != len(arcs):
                 raise ValueError("every arc needs exactly one cost")
             ratios = [
                 Decimal(repr(c) if isinstance(c, float) else c).as_integer_ratio()
-                for c in self.costs
+                for c in costs
             ]
             for _, q in ratios:
                 while denominator % q:
                     denominator *= 10
             scaled = [p * (denominator // q) for p, q in ratios]
-        arc_cost: tuple[dict[int, int | None], ...] = tuple({} for _ in self.vertices)
-        for (u, v), cost in zip(self.arcs, scaled):
+        arc_cost: tuple[dict[int, int | None], ...] = tuple({} for _ in vertices)
+        for (u, v), cost in zip(arcs, scaled):
             if u not in vertex_index or v not in vertex_index:
                 raise ValueError(f"arc ({u}, {v}) references an undeclared vertex")
             row, j = arc_cost[vertex_index[u]], vertex_index[v]
             if j in row:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             row[j] = cost
-        letter_cost = None
-        if self.costs is not None:
-            rows: list[dict] = [{} for _ in arc_cost]
-            for out, row in zip(rows, arc_cost):
-                for j, cost in row.items():
-                    out[chr(j)] = cost, rows[j]
-            letter_cost = {chr(i): (0, row) for i, row in enumerate(rows)}
-        object.__setattr__(self, "vertex_index", vertex_index)
-        object.__setattr__(self, "successors", tuple(tuple(sorted(row)) for row in arc_cost))
-        object.__setattr__(self, "arc_cost", arc_cost)
-        object.__setattr__(self, "letter_cost", letter_cost)
-        object.__setattr__(self, "denominator", denominator)
+        self.vertices, self.arcs, self.costs = vertices, arcs, costs
+        self.vertex_index = vertex_index
+        self.successors = tuple(tuple(sorted(row)) for row in arc_cost)
+        self.arc_cost = arc_cost
+        self.letter_cost: dict[str, tuple[int, dict]] | None = None
+        self.denominator = denominator
+
+    def __eq__(self, other):
+        if other.__class__ is not DirectedGraph:
+            return NotImplemented
+        return (self.vertices, self.arcs, self.costs) == (other.vertices, other.arcs, other.costs)
+
+    def __repr__(self) -> str:
+        return f"DirectedGraph(vertices={self.vertices!r}, arcs={self.arcs!r}, costs={self.costs!r})"
 
     @property
     def n(self) -> int:
@@ -143,16 +149,16 @@ class DirectedGraph:
         return self.index(source), self.index(target)
 
 
-@dataclass(frozen=True, slots=True)
 class VertexPath:
     """Sequence of at least two vertices; arc-length is one less than the
     vertex count."""
 
-    vertices: tuple[str, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 2:
+    def __init__(self, vertices: tuple[str, ...]):
+        if len(vertices) < 2:
             raise PathError("a path needs at least two vertices")
+        self.vertices = vertices
 
 
 def parse_graph(text: str) -> DirectedGraph:
@@ -243,12 +249,24 @@ def serialize_graph(graph: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _letter_rows(graph: DirectedGraph) -> dict[str, tuple[int, dict]]:
+    """`arc_cost` by letter, as `DirectedGraph.letter_cost` holds it.  The
+    rows link to each other, so they are built only where a query prices."""
+    if graph.costs is None:
+        raise ValueError("graph has no arc costs")
+    rows: list[dict] = [{} for _ in graph.arc_cost]
+    for out, row in zip(rows, graph.arc_cost):
+        for j, cost in row.items():
+            out[chr(j)] = cost, rows[j]
+    return {chr(i): (0, row) for i, row in enumerate(rows)}
+
+
 def path_cost(graph: DirectedGraph, word: Word) -> int:
     """The exact cost of a word: the sum of the arc costs along it, as an
     integer number of 1/graph.denominator, read through `letter_cost`."""
     row = graph.letter_cost
     if row is None:
-        raise ValueError("graph has no arc costs")
+        row = graph.letter_cost = _letter_rows(graph)
     total = 0
     try:
         for j in word:

@@ -888,10 +888,10 @@ class TestOracle:
         ]
         expected = [run_cli(*query) for query in queries]
 
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("VertexPath built")
 
-        monkeypatch.setattr(VertexPath, "__post_init__", refuse)
+        monkeypatch.setattr(VertexPath, "__init__", refuse)
         with pytest.raises(AssertionError):
             VertexPath(("1", "2"))
         for query, (code, out, err) in zip(queries, expected):

@@ -134,6 +134,16 @@ class TestParse:
         with pytest.raises(ValueError, match="^vertex names must be distinct$"):
             DirectedGraph(("a",) * MAX_VERTICES, ())
 
+    def test_constructor_messages(self):
+        # the cost count is checked before any arc
+        for arcs, costs, message in [
+            ((("a", "z"),), (1, 2), "every arc needs exactly one cost"),
+            ((("a", "b"), ("a", "z")), None, "arc (a, z) references an undeclared vertex"),
+            ((("a", "b"), ("a", "b")), (1, 2), "duplicate arc (a, b)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DirectedGraph(("a", "b"), arcs, costs)
+
 
 class TestSerialize:
     def test_round_trip_unweighted(self, four_vertex_graph):
@@ -143,6 +153,14 @@ class TestSerialize:
     def test_round_trip_costs_exact(self, five_vertex_graph):
         again = parse_graph(serialize_graph(five_vertex_graph))
         assert again.arc_cost == five_vertex_graph.arc_cost
+        # graphs compare by vertices, arcs and costs, and print all three
+        assert again == five_vertex_graph
+        cheaper = DirectedGraph(again.vertices, again.arcs, (1,) * len(again.arcs))
+        assert cheaper != again and cheaper.arc_cost != again.arc_cost
+        g = DirectedGraph(("a", "b"), (("a", "b"),), (Decimal("0.5"),))
+        assert repr(g) == (
+            "DirectedGraph(vertices=('a', 'b'), arcs=(('a', 'b'),), costs=(Decimal('0.5'),))"
+        )
 
     def test_fractional_cost_round_trip(self):
         g = parse_graph("vertices: a b\na b 0.1\nb a 2.25\n")
@@ -283,11 +301,16 @@ class TestIndex:
                 assert Fraction(cost, graph.denominator) == Fraction(repr(costs[a]))
         places = [-Decimal(repr(c)).normalize().as_tuple().exponent for c in costs or ()]
         assert graph.denominator == 10 ** max([0, *places])
-        # `letter_cost` is `arc_cost` by letter: from the start, each letter
-        # chr(i) costs 0 and leads to v_i's row, whose letters lead on
+        # `letter_cost` is `arc_cost` by letter, built by the first
+        # `path_cost`: from the start, each letter chr(i) costs 0 and leads
+        # to v_i's row, whose letters lead on
+        assert graph.letter_cost is None
         if costs is None:
+            with pytest.raises(ValueError, match="graph has no arc costs"):
+                path_cost(graph, chr(0))
             assert graph.letter_cost is None
             return
+        assert path_cost(graph, chr(0)) == 0
         assert list(graph.letter_cost) == [chr(i) for i in range(len(names))]
         for i, row in enumerate(graph.arc_cost):
             zero, letters = graph.letter_cost[chr(i)]
