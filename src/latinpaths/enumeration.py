@@ -54,17 +54,15 @@ smaller.  `reference.count_paths_reference` is the reference for both.
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
 same left recurrence keeping only the best word per entry (first vertex,
 vertex set): the Bellman / Held-Karp dynamic program, O(2^n n^2) instead
-of the n! words of the powers.  Power k maps each vertex mask to {first
-vertex: least cost}, and a layer per power maps it to {first vertex: next
-vertex}; the winning word is rebuilt once, at the end, down the layers.
-Every candidate for the entry (i, M) extends an entry of the one mask
-M - {i}, so candidates differ only in their next vertex m.  The masks of
-a power are read in descending order, which makes the entries of every
-new mask in ascending first vertex; a strict `<` over m ascending then
-keeps the smallest m of a tie, the canonically first word, as comparing
-whole words would.  `optimal_hamiltonian` selects from a full
-enumeration and is its reference.  Both compare costs exactly, as the
-integers of `graph.arc_cost`, and break ties by canonical order.
+of the n! words of the powers.  Power k is one table, from each vertex
+mask to {first vertex: least cost}; the winning word is rebuilt once, at
+the end, down the tables.  Every candidate for the entry (i, M) extends
+an entry of the one mask M - {i}, so candidates differ only in their next
+vertex m, and the rebuild takes the least m that gives the entry its
+cost: the canonically first word, as comparing whole words would.
+`optimal_hamiltonian` selects from a full enumeration and is its
+reference.  Both compare costs exactly, as the integers of
+`graph.arc_cost`, and break ties by canonical order.
 """
 
 from __future__ import annotations
@@ -455,12 +453,12 @@ def held_karp(
     vertex mask), the Bellman / Held-Karp dynamic program over vertex sets.
 
     Power k maps each mask to {first vertex: least signed exact cost} of
-    its words (the sign -1 for "max"), and its layer maps the mask to
-    {first vertex: next vertex} of that word; the winning word is rebuilt
-    once, from the full mask down the layers.  The candidates for an entry
-    (i, M) all extend entries of the mask M - {i} and differ only in their
-    next vertex m, so keeping the smallest m of a tie keeps the canonically
-    first word (see the module docstring).  Prepending never reads the last
+    its words (the sign -1 for "max"), and is all that is kept of it.  The
+    winning word is rebuilt once, from the full mask down the powers: the
+    candidates for an entry (i, M) all extend entries of the mask M - {i}
+    and differ only in their next vertex m, so the least m whose entry
+    plus the arc (i, m) equals the entry's cost, both exact integers, is
+    the canonically first word's.  Prepending never reads the last
     vertex, so one word per entry suffices, and the words' ends are fixed
     by the seed: the arcs into `end`, or into any vertex.  Circuits are
     anchored at `start`, else `end`, else v_1, and closed over the arcs
@@ -481,14 +479,12 @@ def held_karp(
         for m, c in row.items():
             into[m].append((i, sign * c))
     # power 0: the one-vertex words at the ends
-    cur: dict[int, dict[int, int]] = {1 << j: {j: 0} for j in (range(n) if t is None else (t,))}
-    layers: list[dict[int, dict[int, int]]] = []
+    powers = [{1 << j: {j: 0} for j in (range(n) if t is None else (t,))}]
     for k in range(1, n):
-        nxt, layer, entries = {}, {}, 0
-        # masks descending: the first vertices of each new mask come ascending
-        for mask in sorted(cur, reverse=True):
-            best, back = {}, {}  # i -> the cost and next vertex of entry (i, mask + {i})
-            for m, c in cur[mask].items():
+        nxt, entries = {}, 0
+        for mask, row in powers[-1].items():
+            best = {}  # i -> the least cost of entry (i, mask + {i})
+            for m, c in row.items():
                 for i, arc in into[m]:
                     if not mask >> i & 1:
                         old = best.get(i)
@@ -496,26 +492,30 @@ def held_karp(
                             entries += 1
                         elif c + arc >= old:
                             continue
-                        best[i], back[i] = c + arc, m
+                        best[i] = c + arc
                 if entries > word_limit:
                     raise WordLimitError(k, word_limit)
-            for i, m in back.items():
+            for i, c in best.items():
                 key = mask | 1 << i
                 if key in nxt:
-                    nxt[key][i], layer[key][i] = best[i], m
+                    nxt[key][i] = c
                 else:
-                    nxt[key], layer[key] = {i: best[i]}, {i: m}
-        cur = nxt
-        layers.append(layer)
+                    nxt[key] = {i: c}
+        powers.append(nxt)
     # a circuit closes over an arc (s, m); a path starts at any allowed m
     closing = graph.arc_cost[s] if circuit else dict.fromkeys(range(n) if s is None else (s,), 0)
     mask = (1 << n) - 1
-    firsts = [(c + sign * closing[m], m) for m, c in cur.get(mask, {}).items() if m in closing]
+    top = powers[-1].get(mask, {})
+    firsts = [(c + sign * closing[m], m) for m, c in top.items() if m in closing]
     if not firsts:
         return None
     cost, m = min(firsts)
     word = [s, m] if circuit else [m]
-    for layer in reversed(layers):
-        m, mask = layer[mask][m], mask ^ 1 << m
+    # the tie rule: the least next vertex x that gives entry (m, mask) its cost
+    for k in range(n - 1, 0, -1):
+        c, arcs = powers[k][mask][m], graph.arc_cost[m]
+        mask ^= 1 << m
+        row = powers[k - 1][mask]
+        m = next(x for x in graph.successors[m] if x in row and row[x] + sign * arcs[x] == c)
         word.append(m)
     return "".join(map(chr, word)), sign * cost

@@ -2,6 +2,7 @@ import random
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -315,8 +316,14 @@ class TestOptimalHamiltonian:
 
 
 # Tie-heavy cost sets: many Hamiltonian paths share a cost, and with the
-# decimals 0.1 + 0.2 ties 0.3 exactly but not in float sums.
-TIE_COSTS = ((1.0, 2.0, 3.0, 4.0), (-0.5, 0.0, 0.1, 0.2, 0.3, 1.5))
+# decimals 0.1 + 0.2 ties 0.3 exactly but not in float sums.  The last set
+# holds exact costs that no float holds, so ties and the rebuild's cost
+# equalities are decided on large exact totals.
+TIE_COSTS = (
+    (1.0, 2.0, 3.0, 4.0),
+    (-0.5, 0.0, 0.1, 0.2, 0.3, 1.5),
+    (10**20, 10**20 + 1, -(10**20), 0, Decimal("0.1000000000000000000001")),
+)
 
 
 def assert_held_karp_matches_selection(g):
@@ -471,9 +478,10 @@ class TestHeldKarp:
     def test_inner_tie_goes_to_the_smaller_next_vertex(self):
         # The only Hamiltonian paths, a-b-c-d-e and a-b-d-c-e, both cost
         # 1 + 0.1 + 0.2 + 1 = 1 + 0.3 + 0.0 + 1 exactly.  They part in entry
-        # (b, {b, c, d, e}) of power 3, whose candidates tie at 1.3: it must
-        # keep next vertex c, though its mask's entry for d is made first
-        # when the masks are read in the order they were made.
+        # (b, {b, c, d, e}) of power 3, whose candidates tie at 1.3.  Power 2
+        # makes entry (d, {c, d, e}) before (c, {c, d, e}), since the masks
+        # are read in the order they were made, so power 3 meets the
+        # candidate through d first; the rebuild picks next vertex c.
         g = DirectedGraph(
             tuple("abcde"),
             (("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("d", "c"), ("c", "e"), ("d", "e")),
@@ -485,8 +493,8 @@ class TestHeldKarp:
             assert optimal_hamiltonian(g, "path", hamiltonian, objective) == best
 
     def test_peak_memory(self):
-        # weighted K14: one cost and one next vertex per entry, 14 * 2^13
-        # entries over its 13 powers
+        # weighted K14: one exact cost per entry, 14 * 2^13 entries over
+        # its 13 powers, all kept for the rebuild
         g = complete_digraph(14)
         g = DirectedGraph(g.vertices, g.arcs, tuple(a % 4 + 1 for a in range(len(g.arcs))))
         # tracemalloc does not see tuples reused from the interpreter's free
