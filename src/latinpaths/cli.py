@@ -12,6 +12,7 @@ import contextlib
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -147,50 +148,71 @@ def _chunks(head: str, pieces, separator: str, tail: str) -> Iterator[str]:
     yield tail
 
 
-def _letter_names(names) -> Callable[[str], str]:
+def _letter_table(names) -> dict[str, str]:
     """The text of each letter chr(i) of a word: names[i]."""
-    return dict(zip(map(chr, range(len(names))), names)).__getitem__
+    return dict(zip(map(chr, range(len(names))), names))
+
+
+# What opens a JSON item, and what follows an item that is not the last.
+_JSON_OPEN = '    {\n      "vertices": [\n'
+_JSON_NEXT = ",\n" + _JSON_OPEN
 
 
 def _emit_result(graph, query: dict, items, fmt: str, none_text: str) -> Iterator[str]:
     """The answer of an enumeration command, as chunks of text; `items` are
-    words in canonical order, rendered a slice of at most `_BATCH` per
-    chunk by one list comprehension, with names looked up per letter.
-    JSON is written as text in the layout of `json.dumps(payload,
-    indent=2)`, with names encoded once per vertex; `path_cost` prices each
-    item once and `cost_text` writes its cost."""
+    words of at least one arc, in canonical order, rendered `_BATCH` per
+    chunk by one join.  The batch's letters are looked up as names at
+    once, into a list with the name separator after each.  At the end of
+    each word, found by the running sum of the word lengths, the separator
+    gives way to the word's tail: its cost and newline in text; in JSON its
+    closing lines, then the next item's opening.  A tail depends only on
+    the word's length and exact total, so each is rendered once;
+    `path_cost` prices each item once.  JSON has the layout of
+    `json.dumps(payload, indent=2)`, with names encoded once per vertex."""
     costed = graph.costs is not None
-    # items share few totals: each is rendered once
-    cost_of = functools.cache(functools.partial(cost_text, graph, as_json=fmt == "json"))
-    starts = range(0, len(items), _BATCH)
     if fmt == "json":
-        quoted = _letter_names(
-            ["        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices]
-        )
+        names = ["        " + json.encoder.encode_basestring_ascii(v) for v in graph.vertices]
+        separator, follows = ",\n", _JSON_NEXT
+
+        @functools.cache
+        def tail(length: int, total: int | None) -> str:
+            cost = "null" if total is None else cost_text(graph, total, as_json=True)
+            return (
+                '\n      ],\n      "length": ' + str(length - 1)
+                + ',\n      "cost": ' + cost + "\n    }" + _JSON_NEXT
+            )
+
         head = json.dumps(query, indent=2).replace("\n", "\n  ")
-        yield '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" if items else "[]")
-        for s in starts:
-            yield (",\n" if s else "") + ",\n".join([
-                '    {\n      "vertices": [\n'
-                + ",\n".join(map(quoted, w))
-                + '\n      ],\n      "length": '
-                + str(len(w) - 1)
-                + ',\n      "cost": '
-                + (cost_of(path_cost(graph, w)) if costed else "null")
-                + "\n    }"
-                for w in items[s : s + _BATCH]
-            ])
-        yield ("\n  ]" if items else "") + ',\n  "count": ' + str(len(items)) + "\n}\n"
+        yield '{\n  "query": ' + head + ',\n  "items": ' + ("[\n" + _JSON_OPEN if items else "[]")
     elif not items:
         yield none_text
+        return
     else:
-        name = _letter_names(graph.vertices)
-        for s in starts:
-            yield "\n".join([
-                "-".join(map(name, w))
-                + (" cost=" + cost_of(path_cost(graph, w)) if costed else "")
-                for w in items[s : s + _BATCH]
-            ]) + "\n"
+        names, separator, follows = graph.vertices, "-", ""
+
+        @functools.cache
+        def tail(length: int, total: int | None) -> str:
+            return "\n" if total is None else " cost=" + cost_text(graph, total) + "\n"
+
+    table = _letter_table(names)
+    for s in range(0, len(items), _BATCH):
+        batch = items[s : s + _BATCH]
+        letters = "".join(batch)
+        out = [separator] * (2 * len(letters))
+        # one tuple made at its full size, where a list grown name by name
+        # raised the peak RSS; a word has two letters or more, so the
+        # getter never returns one bare name
+        out[::2] = operator.itemgetter(*letters)(table)
+        for end, w in zip(itertools.accumulate(map(len, batch)), batch):
+            out[2 * end - 1] = tail(len(w), path_cost(graph, w) if costed else None)
+        if s + _BATCH >= len(items):
+            # nothing follows the last item
+            out[-1] = out[-1].removesuffix(follows)
+        yield "".join(out)
+        # free this batch's list before the next is built
+        del out
+    if fmt == "json":
+        yield ("\n  ]" if items else "") + ',\n  "count": ' + str(len(items)) + "\n}\n"
 
 
 def _dot_quote(text: str) -> str:
@@ -310,7 +332,7 @@ def _run_matrix(args) -> Iterator[str]:
         entries = [bruteforce.dfs_power_row(graph, u, k) for u in names]
     else:
         entries = enumeration.power_entries(graph, k, args.limit)
-    name = _letter_names(names)
+    name = _letter_table(names).__getitem__
     rendered = [[_render_entry(name, words) for words in row] for row in entries]
     if args.format == "json":
         # the layout of json.dumps(payload, indent=2), a row at a time

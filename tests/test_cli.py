@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinpaths import bruteforce, enumeration
+from latinpaths import bruteforce, cli, enumeration
 from latinpaths.cli import _BATCH, _emit_result, _load_graph, _run_words, build_parser, main
 from latinpaths.enumeration import WordLimitError, latin_powers
-from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, serialize_graph
+from latinpaths.graph import DirectedGraph, VertexPath, parse_graph, path_cost, serialize_graph
 from latinpaths.words import Alphabet, enumerate_distinguished
 
 from conftest import FIVE_VERTEX_TEXT, FOUR_VERTEX_TEXT, as_word, kernel_entries
@@ -1250,47 +1250,93 @@ class TestEmitter:
         assert len(chunks) > 3
         assert "".join(chunks) == "".join(lines)
 
+    # The complete digraph with self-loops on a, b, c; the decimal costs give
+    # totals written both as a float's repr and as an exact decimal.
+    LOOPED = (("a", "b", "c"), tuple((u, v) for u in "abc" for v in "abc"))
+    WEIGHTS = (0.1, 0.2, 1e16, 2.5, 0.3, -0.5, 1e-07, 4.0, 3.0)
+
+    @staticmethod
+    def _dump(graph, query, items, fmt):
+        """The emitter's output built independently: in JSON the text of
+        `json.dumps`, with each cost's text in place of a marker string."""
+        paths = [[graph.vertices[ord(c)] for c in w] for w in items]
+        exact = [None if graph.costs is None else _named_cost(graph, p) for p in paths]
+        if fmt == "text":
+            return "".join(
+                "-".join(p) + ("" if c is None else " cost=" + _cost_text(c, False)) + "\n"
+                for p, c in zip(paths, exact)
+            )
+        payload = {
+            "query": query,
+            "items": [
+                _item_json(p, None if c is None else f"@cost{k}@")
+                for k, (p, c) in enumerate(zip(paths, exact))
+            ],
+            "count": len(items),
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        for k, c in enumerate(exact if graph.costs is not None else ()):
+            expected = expected.replace(f'"@cost{k}@"', _cost_text(c, True), 1)
+        return expected
+
     @pytest.mark.parametrize("costs", ["decimal", None])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_batch_edges(self, costs, extra):
-        """Exactly `_BATCH` and `_BATCH + 1` walks on the complete digraph
-        with self-loops on a, b, c are one and two chunks of items; joined,
-        text and JSON are those of one dump.  The decimal costs give totals
-        written both as a float's repr and as an exact decimal."""
-        names = ("a", "b", "c")
-        arcs = tuple((u, v) for u in names for v in names)
-        weights = (0.1, 0.2, 1e16, 2.5, 0.3, -0.5, 1e-07, 4.0, 3.0)
-        graph = DirectedGraph(names, arcs, weights if costs else None)
+        """Exactly `_BATCH` and `_BATCH + 1` walks of one length are one and
+        two chunks of items; joined, text and JSON are those of one dump."""
+        graph = DirectedGraph(*self.LOOPED, self.WEIGHTS if costs else None)
         items = list(map(as_word, itertools.product(range(3), repeat=7)))[: _BATCH + extra]
-        paths = [[names[ord(c)] for c in w] for w in items]
         query = {"command": "paths", "source": "a", "target": "c", "length": 6}
-        exact = [_named_cost(graph, p) if costs else None for p in paths]
         if costs:
+            exact = [_named_cost(graph, [graph.vertices[ord(c)] for c in w]) for w in items]
             as_repr = [Fraction(repr(float(c))) == c for c in exact]
             assert any(as_repr) and not all(as_repr)
         for fmt in ("text", "json"):
             chunks = list(_emit_result(graph, query, items, fmt, ""))
             # one chunk per batch of items, between JSON's head and tail
             assert len(chunks) == {"text": 1, "json": 3}[fmt] + extra, fmt
-            if fmt == "json":
-                # each cost's text takes the place of a marker string
-                payload = {
-                    "query": query,
-                    "items": [
-                        _item_json(p, None if c is None else f"@cost{k}@")
-                        for k, (p, c) in enumerate(zip(paths, exact))
-                    ],
-                    "count": len(items),
-                }
-                expected = json.dumps(payload, indent=2) + "\n"
-                for k, c in enumerate(exact if costs else ()):
-                    expected = expected.replace(f'"@cost{k}@"', _cost_text(c, True), 1)
-            else:
-                expected = "".join(
-                    "-".join(p) + ("" if c is None else " cost=" + _cost_text(c, False)) + "\n"
-                    for p, c in zip(paths, exact)
-                )
-            assert "".join(chunks) == expected, fmt
+            assert "".join(chunks) == self._dump(graph, query, items, fmt), fmt
+
+    @staticmethod
+    def _mixed_walks():
+        """`_BATCH + 1` walks on LOOPED whose lengths cycle through 2..7
+        vertices, so that words of several lengths share each batch and
+        the first batch ends on a word of a length other than the last."""
+        return [
+            as_word([(k // 3**t) % 3 for t in range(2 + k % 6)]) for k in range(_BATCH + 1)
+        ]
+
+    @pytest.mark.parametrize("costs", ["decimal", None])
+    def test_mixed_lengths_across_a_batch(self, costs):
+        graph = DirectedGraph(*self.LOOPED, self.WEIGHTS if costs else None)
+        items = self._mixed_walks()
+        assert {len(w) for w in items[:_BATCH]} == set(range(2, 8))
+        assert len(items[_BATCH - 1]) != len(items[_BATCH])
+        query = {"command": "hamiltonian", "kind": "path"}
+        for fmt in ("text", "json"):
+            chunks = list(_emit_result(graph, query, items, fmt, ""))
+            assert len(chunks) == {"text": 2, "json": 4}[fmt], fmt
+            assert "".join(chunks) == self._dump(graph, query, items, fmt), fmt
+
+    @pytest.mark.parametrize("costs", ["decimal", None])
+    def test_prices_through_the_module_name(self, monkeypatch, costs):
+        """Each item is priced by one call of `cli.path_cost`, the name a
+        caller can wrap to count or time pricing; an uncosted graph makes
+        no call."""
+        graph = DirectedGraph(*self.LOOPED, self.WEIGHTS if costs else None)
+        items = self._mixed_walks()
+        priced = []
+
+        def counting(g, word):
+            priced.append(word)
+            return path_cost(g, word)
+
+        monkeypatch.setattr(cli, "path_cost", counting)
+        query = {"command": "hamiltonian", "kind": "path"}
+        for fmt in ("text", "json"):
+            priced.clear()
+            "".join(_emit_result(graph, query, items, fmt, ""))
+            assert priced == (items if costs else []), fmt
 
     def test_json_is_never_held_whole(self):
         """K8's 40,320 Hamiltonian paths come to 7.7 MB of JSON; drained a
