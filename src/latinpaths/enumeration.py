@@ -48,8 +48,7 @@ distinguished languages stays as the executable reference, in
 the naturals, by one of two exact evaluations: k steps of column j of the
 left recurrence, about k m additions for m arcs, or binary powers of A,
 about k.bit_length() n^3 products; it counts the work of each, the `sum`
-calls included and each product and addition weighed by the size its
-entries reach, and takes the powers only when their count is the
+calls included, and takes the powers only when their count is the
 smaller.  `reference.count_paths_reference` is the reference for both.
 
 Cost-optimal Hamiltonian paths and circuits come from `held_karp`, the
@@ -68,7 +67,6 @@ reference.  Both compare costs exactly, as the integers of
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator, Sequence
 from operator import le, mul
 
@@ -347,23 +345,6 @@ def max_length_elementary(
 # What one `sum` call costs, in additions or products of small integers:
 # about 400 ns against 50 ns per element (2-vCPU host, Python 3.11).
 _SUM_CALL_WORK = 8
-# Entry sizes, in bits, that weigh the elements of `count_paths`'s counts.
-# A product of two entries of b bits weighs 1 + (b / _PRODUCT_BITS)^2 up
-# to CPython's Karatsuba cutoff (70 digits of 30 bits) and grows as
-# b^log2(3) beyond it; an addition into an entry of b bits weighs 1 + b /
-# _ADDITION_BITS.  Fitted to timings of both evaluations on seeded random
-# graphs, n = 9..40, m = 1.5n..8n, k = 64..4,096 (2-vCPU host).
-_PRODUCT_BITS = 256
-_ADDITION_BITS = 2048
-_KARATSUBA_BITS = 2100
-
-
-def _product_work(bits: float) -> float:
-    """What one product of two entries of `bits` bits weighs."""
-    if bits <= _KARATSUBA_BITS:
-        return 1 + (bits / _PRODUCT_BITS) ** 2
-    cutoff = (_KARATSUBA_BITS / _PRODUCT_BITS) ** 2
-    return 1 + cutoff * (bits / _KARATSUBA_BITS) ** math.log2(3)
 
 
 def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
@@ -374,26 +355,14 @@ def count_paths(graph: DirectedGraph, source: str, target: str, k: int) -> int:
     k.bit_length() - 2) times, n^2 `sum` calls over n^3 products each, and
     multiplies the column by a power once per set bit it consumes and once
     per unit left at the top, n `sum` calls over n^2 products each.  A
-    `sum` call weighs _SUM_CALL_WORK elements, and an element weighs more
-    as its entries grow: an entry of A^t has about t log2(m / n) bits, m / n
-    the mean out-degree.  Squaring is taken only when its work is the
-    smaller, and always from k = 2^64 on, where no run of steps ends."""
+    `sum` call weighs _SUM_CALL_WORK elements; squaring is taken only when
+    its count is the smaller."""
     i, j = graph.walk_ends(source, target, k)
-    if k >> 64:
-        return _count_by_squaring(graph, i, j, k)
-    n, m = graph.n, len(graph.arcs)
-    growth = math.log2(m / n) if m > n else 0.0  # bits an entry gains per step
-    steps = (k - 1) * (m * (1 + growth * k / 2 / _ADDITION_BITS) + _SUM_CALL_WORK * n)
+    n = graph.n
     squarings = max(k.bit_length() - 2, 0)
     products = (k & ((1 << squarings) - 1)).bit_count() + (k >> squarings)
-    squaring = sum(
-        n * n * (n * _product_work(growth * (1 << e)) + _SUM_CALL_WORK) for e in range(squarings)
-    )
-    # the column's products: an entry of the last square by one of up to A^k,
-    # weighed at the geometric mean of their sizes
-    column = _product_work(growth * math.sqrt(k << squarings))
-    squaring += products * n * (n * column + _SUM_CALL_WORK)
-    if squaring < steps:
+    squaring = (squarings * n + products) * n * (n + _SUM_CALL_WORK)
+    if squaring < (k - 1) * (len(graph.arcs) + _SUM_CALL_WORK * n):
         return _count_by_squaring(graph, i, j, k)
     return _count_by_steps(graph, i, j, k)
 
